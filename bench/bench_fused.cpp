@@ -1,18 +1,20 @@
-// Fused batched-step benchmark: the per-stream matvec baseline vs the
-// fused batched-matmat spine, swept over batch width x precision x
-// sparsity on the paper's full-size GRU (153 -> 1024 -> 1024 -> 39).
+// Fused batched-step benchmark: W streams advanced one step_batch call
+// per stream (width 1, the per-vector kernels, streaming every weight
+// matrix once per stream) vs one width-W step_batch call (the batched
+// matmat, streaming each weight matrix once for the whole batch), swept
+// over batch width x precision x sparsity on the paper's full-size GRU
+// (153 -> 1024 -> 1024 -> 39).
 //
-// Both sides of every cell run the identical step_batch driver; the only
-// difference is CompilerOptions::fused (kNever = the historical
-// per-stream path, kAlways = the fused spine). Per cell: steady-state
-// aggregate frames/s and the fused/baseline speedup. The headline cell
-// — int8 packed weights + int8 activations at width >= 8 — is where the
-// fused step amortizes each weight matrix's traffic across the whole
-// batch AND runs code-by-code integer dot products. The sweep is
-// emitted as fused.json (a CI artifact).
+// Both sides of every cell run the same compiled model. Per cell:
+// steady-state aggregate frames/s and the fused/baseline speedup. The
+// headline cell — int8 packed weights + int8 activations at width >= 8
+// — is where the batched step amortizes each weight matrix's traffic
+// across the whole batch AND runs code-by-code integer dot products.
+// The sweep is emitted as fused.json (a CI artifact).
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -64,29 +66,23 @@ BenchSetup build_model(const ModelConfig& config, double keep) {
 
 std::unique_ptr<CompiledSpeechModel> compile(const BenchSetup& setup,
                                              const PrecisionCase& precision,
-                                             FusedMode mode,
                                              ThreadPool* pool) {
   CompilerOptions options;
   options.format = SparseFormat::kBspc;
   options.precision = precision.weights;
   options.activation = precision.activations;
-  options.fused = mode;
   if (pool != nullptr) options.threads = pool->thread_count();
   return std::make_unique<CompiledSpeechModel>(*setup.model, setup.masks,
                                                options, pool);
 }
 
-struct CellResult {
-  double frames_per_sec = 0.0;
-  bool fused = false;  // what the dispatch actually ran
-};
-
-/// Steady-state step_batch throughput at a fixed batch width: `width`
+/// Steady-state aggregate frames/s at a fixed batch width: `width`
 /// streams advanced `rounds` timesteps on a shared random frame batch
 /// (weight traffic per round is what the cell measures; the frame
-/// content is irrelevant).
-CellResult measure(const CompiledSpeechModel& m, std::size_t width,
-                   std::size_t rounds) {
+/// content is irrelevant). `per_stream` advances each stream with its
+/// own width-1 step_batch call instead of one width-`width` call.
+double measure(const CompiledSpeechModel& m, std::size_t width,
+               std::size_t rounds, bool per_stream) {
   Rng rng(99);
   Matrix features(width, m.config().input_dim);
   fill_normal(features.span(), rng, 1.0F);
@@ -95,20 +91,23 @@ CellResult measure(const CompiledSpeechModel& m, std::size_t width,
   std::vector<StreamState*> ptrs;
   for (StreamState& s : states) ptrs.push_back(&s);
 
-  CellResult result;
-  for (std::size_t warm = 0; warm < 3; ++warm) {
-    result.fused = m.step_batch(features, ptrs, logits).fused;
-  }
+  const auto round = [&] {
+    if (!per_stream) {
+      m.step_batch(features, ptrs, logits);
+      return;
+    }
+    for (std::size_t b = 0; b < width; ++b) {
+      m.step_batch(features, std::span<StreamState* const>(&ptrs[b], 1),
+                   logits);
+    }
+  };
+  for (std::size_t warm = 0; warm < 3; ++warm) round();
   WallTimer timer;
-  for (std::size_t r = 0; r < rounds; ++r) {
-    m.step_batch(features, ptrs, logits);
-  }
+  for (std::size_t r = 0; r < rounds; ++r) round();
   const double wall_us = timer.elapsed_us();
-  if (wall_us > 0.0) {
-    result.frames_per_sec =
-        static_cast<double>(width * rounds) / (wall_us * 1e-6);
-  }
-  return result;
+  return wall_us > 0.0
+             ? static_cast<double>(width * rounds) / (wall_us * 1e-6)
+             : 0.0;
 }
 
 }  // namespace
@@ -164,20 +163,14 @@ int main(int argc, char** argv) {
                "speedup"});
   const BenchSetup setup = build_model(config, keep);
   for (const PrecisionCase& precision : precisions) {
-    const auto baseline =
-        compile(setup, precision, FusedMode::kNever, pool.get());
-    const auto fused =
-        compile(setup, precision, FusedMode::kAlways, pool.get());
+    const auto model = compile(setup, precision, pool.get());
     for (const std::size_t width : widths) {
       const std::size_t rounds = std::max<std::size_t>(12, frames / width);
-      const CellResult base = measure(*baseline, width, rounds);
-      const CellResult fast = measure(*fused, width, rounds);
-      const double speedup = base.frames_per_sec > 0.0
-                                 ? fast.frames_per_sec / base.frames_per_sec
-                                 : 0.0;
+      const double base = measure(*model, width, rounds, true);
+      const double fast = measure(*model, width, rounds, false);
+      const double speedup = base > 0.0 ? fast / base : 0.0;
       table.add_row({precision.name, std::to_string(width),
-                     format_double(base.frames_per_sec, 0),
-                     format_double(fast.frames_per_sec, 0),
+                     format_double(base, 0), format_double(fast, 0),
                      format_double(speedup, 2)});
 
       JsonRecord record;
@@ -189,9 +182,8 @@ int main(int argc, char** argv) {
       record.set("threads", static_cast<std::int64_t>(threads));
       record.set("hidden", static_cast<std::int64_t>(config.hidden_dim));
       record.set("rounds", static_cast<std::int64_t>(rounds));
-      record.set("fused_dispatched", fast.fused);
-      record.set("baseline_frames_per_sec", base.frames_per_sec);
-      record.set("fused_frames_per_sec", fast.frames_per_sec);
+      record.set("baseline_frames_per_sec", base);
+      record.set("fused_frames_per_sec", fast);
       record.set("speedup", speedup);
       report.add(std::move(record));
     }
@@ -204,20 +196,13 @@ int main(int argc, char** argv) {
     const std::size_t rounds = std::max<std::size_t>(12, frames / width);
     for (const double sweep_keep : {0.1, 0.25, 0.5}) {
       const BenchSetup sparse = build_model(config, sweep_keep);
-      const auto baseline = compile(sparse, precisions.back(),
-                                    FusedMode::kNever, pool.get());
-      const auto fused = compile(sparse, precisions.back(),
-                                 FusedMode::kAlways, pool.get());
-      const CellResult base = measure(*baseline, width, rounds);
-      const CellResult fast = measure(*fused, width, rounds);
-      const double speedup = base.frames_per_sec > 0.0
-                                 ? fast.frames_per_sec / base.frames_per_sec
-                                 : 0.0;
+      const auto model = compile(sparse, precisions.back(), pool.get());
+      const double base = measure(*model, width, rounds, true);
+      const double fast = measure(*model, width, rounds, false);
+      const double speedup = base > 0.0 ? fast / base : 0.0;
       table.add_row({"int8+act8 keep=" + format_double(sweep_keep, 2),
-                     std::to_string(width),
-                     format_double(base.frames_per_sec, 0),
-                     format_double(fast.frames_per_sec, 0),
-                     format_double(speedup, 2)});
+                     std::to_string(width), format_double(base, 0),
+                     format_double(fast, 0), format_double(speedup, 2)});
 
       JsonRecord record;
       record.set("section", "sparsity_sweep");
@@ -225,8 +210,8 @@ int main(int argc, char** argv) {
       record.set("width", static_cast<std::int64_t>(width));
       record.set("keep", sweep_keep);
       record.set("threads", static_cast<std::int64_t>(threads));
-      record.set("baseline_frames_per_sec", base.frames_per_sec);
-      record.set("fused_frames_per_sec", fast.frames_per_sec);
+      record.set("baseline_frames_per_sec", base);
+      record.set("fused_frames_per_sec", fast);
       record.set("speedup", speedup);
       report.add(std::move(record));
     }
@@ -234,12 +219,12 @@ int main(int argc, char** argv) {
 
   std::printf("%s\n", table.to_string().c_str());
   std::printf(
-      "baseline = the same step_batch driver compiled with fused=never "
-      "(per-stream matvecs, streams partitioned across the pool); fused "
-      "= fused=always (each weight matrix driven once per layer per "
-      "round over the whole batch). fp32 rows are bit-identical by "
+      "baseline = one width-1 step_batch call per stream (per-vector "
+      "kernels, each weight matrix streamed once per stream); fused = "
+      "one step_batch call over the whole batch (each weight matrix "
+      "driven once per layer per round). fp32 rows are bit-identical by "
       "construction (tests/test_fused.cpp); int8+act8 additionally "
-      "quantizes the activation panels to int8 codes.\n");
+      "quantizes the activation panels to int8 codes above width 1.\n");
 
   report.write_file("fused.json");
   std::printf("wrote fused.json (%zu records)\n", report.size());

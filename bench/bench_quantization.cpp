@@ -212,15 +212,15 @@ void run_throughput_section(std::size_t hidden, std::size_t threads,
   }
   std::printf("%s\n", table.to_string().c_str());
   std::printf(
-      "Batched rows stream weights once per stream per timestep, so the\n"
-      "int8 payload's 4x bandwidth shrink is the win to look for.\n\n");
+      "Batched rows stream each weight matrix once per timestep for the\n"
+      "whole batch; the int8 payload's 4x bandwidth shrink is the win to\n"
+      "look for.\n\n");
 }
 
 /// Kernel-level matvec vs matmat on one recurrent-scale matrix: how
-/// much a future multi-stream step path would gain by streaming each
-/// weight block once for the whole batch (PackedQuantizedBspc::spmm)
-/// instead of once per stream (spmv). step_batch still runs per-stream
-/// matvecs, so this is the headroom number, not the serving number.
+/// much streaming each weight block once for the whole batch
+/// (PackedQuantizedBspc::spmm, what step_batch runs above width 1) gains
+/// over once per stream (spmv), isolated from the rest of the step.
 void run_matmat_section(std::size_t hidden, std::size_t frames,
                         std::size_t batch, double keep,
                         JsonReport& report) {
@@ -268,9 +268,9 @@ void run_matmat_section(std::size_t hidden, std::size_t frames,
   }
   std::printf("%s\n", table.to_string().c_str());
   std::printf(
-      "Gain > 1 means fusing streams into one matmat step would beat\n"
-      "per-stream matvecs; ~1 or below (weights already cache-resident)\n"
-      "says step_batch's per-stream schedule is the right one here.\n");
+      "Gain > 1 means the batched matmat beats per-stream matvecs at the\n"
+      "kernel level; ~1 or below means the weights were already\n"
+      "cache-resident.\n");
 }
 
 }  // namespace

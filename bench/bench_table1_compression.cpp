@@ -3,7 +3,7 @@
 // BBS, Wang, E-RNN), all trained on the same synthetic TIMIT-substitute
 // corpus with the same scaled GRU.
 //
-// Substitutions vs the paper (documented in DESIGN.md): TIMIT -> synthetic
+// Substitutions vs the paper: TIMIT -> synthetic
 // corpus, 9.6M-param GRU -> scaled GRU (2x96, ~150k weights). A 150k-weight
 // model cannot survive a literal 301x compression (that would leave ~500
 // weights), so each paper operating point is mapped to a capacity-scaled
@@ -115,10 +115,11 @@ int main() {
 
   std::printf("== Table I (compression rate vs PER) ==\n");
   std::printf(
-      "Scaled reproduction on the synthetic TIMIT substitute (see\n"
-      "DESIGN.md). Each row maps a Table I operating point onto a\n"
-      "capacity-scaled compression rate; 'paper' columns are the published\n"
-      "TIMIT numbers. Compare degradation *shape*, not absolute PER.\n\n");
+      "Scaled reproduction on the synthetic TIMIT substitute\n"
+      "(src/speech/corpus.hpp). Each row maps a Table I operating point\n"
+      "onto a capacity-scaled compression rate; 'paper' columns are the\n"
+      "published TIMIT numbers. Compare degradation *shape*, not absolute\n"
+      "PER.\n\n");
 
   WallTimer total_timer;
   Experiment experiment;

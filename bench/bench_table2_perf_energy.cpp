@@ -31,8 +31,7 @@ namespace {
 constexpr std::size_t kFramesPerInference = 30;  // makes dense = 0.58 GOP
 
 /// Keep fractions that land on the paper's overall compression rate while
-/// honouring its column-rate target (see DESIGN.md "Compression
-/// accounting").
+/// honouring its column-rate target.
 struct KeepPlan {
   double col_keep;
   double row_keep;

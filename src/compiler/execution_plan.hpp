@@ -33,17 +33,6 @@ enum class SparseFormat : std::uint8_t {
 
 [[nodiscard]] const char* to_string(SparseFormat format);
 
-/// Whether the compiled model's step_batch drives the fused batched
-/// matmat spine (one weight stream per layer per step for the whole
-/// batch) or the per-stream matvec path.
-enum class FusedMode : std::uint8_t {
-  kAuto,    // fuse when the batch is at least min_fused_batch wide
-  kAlways,  // fuse every batch that fits the panel (width 1 included)
-  kNever,   // always per-stream (no fused scratch is even allocated)
-};
-
-[[nodiscard]] const char* to_string(FusedMode mode);
-
 struct CompilerOptions {
   SparseFormat format = SparseFormat::kBspc;
   bool reorder = true;       // matrix reorder pass (BSPC only)
@@ -67,20 +56,11 @@ struct CompilerOptions {
   /// pool honors it (the sharded serving layer pins each engine replica's
   /// pool to a disjoint range so shards don't contend for cores).
   std::optional<CoreRange> core_range;
-  /// Fused batched step dispatch (see FusedMode). kAuto keeps width-1
-  /// traffic on the per-stream path where it is strictly cheaper.
-  FusedMode fused = FusedMode::kAuto;
-  /// kAuto fuses batches at least this wide; narrower ones fall back to
-  /// the per-stream matvec path.
-  std::size_t min_fused_batch = 2;
-  /// Fused panel capacity, fixed at compile time so the serving step
-  /// never allocates: batches wider than this fall back to per-stream
-  /// (the engine's max_batch is normally <= this).
-  std::size_t max_fused_batch = 64;
-  /// Activation storage inside the fused step. kInt8 only takes effect
-  /// on int8 weight plans (packed dense / packed BSPC), where the
-  /// matmat multiplies codes by codes with exact int32 accumulation;
-  /// fp32/fp16 plans always read the fp32 panel.
+  /// Activation storage inside the batched step. kInt8 only takes
+  /// effect on int8 weight plans (packed dense / packed BSPC) at widths
+  /// above 1, where the matmat multiplies codes by codes with exact
+  /// int32 accumulation; fp32/fp16 plans and width-1 steps always read
+  /// the fp32 panel.
   ActivationPrecision activation = ActivationPrecision::kFp32;
 };
 
@@ -88,8 +68,8 @@ struct CompilerOptions {
 /// thread partition, grown on demand and never shrunk. prepare() must run
 /// on the dispatching thread before partitions are handed to concurrent
 /// tasks; partition() is then a plain indexed read, safe from any task.
-/// Owning one per serving scratch slot is what makes the step path free
-/// of per-matvec heap allocation.
+/// Owning one per compiled model is what makes the step path free of
+/// per-matvec heap allocation.
 class LreScratch {
  public:
   /// Ensures `partitions` buffers of at least `floats` capacity exist.
@@ -133,19 +113,20 @@ class LayerPlan {
                ThreadPool* pool = nullptr,
                LreScratch* scratch = nullptr) const;
 
-  /// Y[b] = W X[b] for b in [0, batch): the fused batched form. Each
-  /// weight matrix is streamed from memory once for the whole batch
-  /// (the per-stream path re-reads it once per vector). Per stream the
-  /// fp32/fp16 result is bit-identical to execute() on that stream's
-  /// row — the batched kernels keep the per-vector accumulation order
-  /// and the fp32 dense/CSR paths literally run the per-vector kernel
-  /// per row, threading across streams instead of rows. X/Y may have
-  /// extra trailing rows. `xq`, when non-null and the plan stores int8
-  /// weights, supplies the batch's activations on the int8 grid and
-  /// switches the kernel to exact int32 code-by-code accumulation
-  /// (within the activation grid's rounding slack of the fp32 panel);
-  /// other plans ignore it and read X. A scratch instance must not be
-  /// shared by concurrent calls.
+  /// Y[b] = W X[b] for b in [0, batch): the batched form. Each weight
+  /// matrix is streamed from memory once for the whole batch. Width 1
+  /// is execute() on row 0: the per-vector kernel, with `xq` ignored.
+  /// Per stream the fp32/fp16/int8-weight result is bit-identical to
+  /// execute() on that stream's row — the batched kernels keep the
+  /// per-vector accumulation order and the fp32 dense/CSR paths
+  /// literally run the per-vector kernel per row, threading across
+  /// streams instead of rows. X/Y may have extra trailing rows. `xq`,
+  /// when non-null and the plan stores int8 weights, supplies the
+  /// batch's activations on the int8 grid and switches the kernel to
+  /// exact int32 code-by-code accumulation (within the activation
+  /// grid's rounding slack of the fp32 panel); other plans ignore it
+  /// and read X. A scratch instance must not be shared by concurrent
+  /// calls.
   void execute_batch(const Matrix& x, Matrix& y, std::size_t batch,
                      ThreadPool* pool = nullptr,
                      LreScratch* scratch = nullptr,

@@ -51,64 +51,14 @@ CompiledSpeechModel::CompiledSpeechModel(
   fc_ = compile_weight(model.fc_weight(), masks, "fc.w", options);
   fc_b_ = model.fc_bias();
 
-  // One scratch slot per possible step_batch chunk (the pool never runs
-  // more than thread_count chunks per job; slot 0 doubles as the
-  // single-threaded path's scratch).
-  const std::size_t slots = pool_ != nullptr ? pool_->thread_count() : 1;
-  // Pre-size every slot's LRE gather scratch to the widest plan's need
-  // so the first serving step never allocates, for however many thread
-  // partitions a single-stream matvec might split into.
-  std::size_t gather_floats = fc_.lre_gather_floats();
+  bool all_int8 = fc_.int8_weights();
   for (const CompiledLayer& layer : layers_) {
     for (const LayerPlan* plan : {&layer.w_z, &layer.w_r, &layer.w_h,
                                   &layer.u_z, &layer.u_r, &layer.u_h}) {
-      gather_floats = std::max(gather_floats, plan->lre_gather_floats());
+      all_int8 = all_int8 && plan->int8_weights();
     }
   }
-  step_scratch_.reserve(slots);
-  for (std::size_t s = 0; s < slots; ++s) {
-    step_scratch_.push_back(
-        std::make_unique<StepScratch>(config_.hidden_dim));
-    step_scratch_.back()->lre.prepare(options_.threads, gather_floats);
-  }
-
-  // Fused batched-step panels, sized once here so step_batch never
-  // allocates: capacity rows per panel, and per-partition gather
-  // scratch wide enough for the widest plan's batched kernel at full
-  // capacity.
-  if (options_.fused != FusedMode::kNever) {
-    const std::size_t capacity = std::max<std::size_t>(
-        options_.max_fused_batch, std::size_t{1});
-    fused_ = std::make_unique<FusedScratch>(capacity, config_.hidden_dim);
-    std::size_t panel_floats = fc_.batch_gather_floats();
-    std::size_t q8_words = fc_.q8_scratch_words(capacity);
-    bool all_int8 = fc_.int8_weights();
-    for (const CompiledLayer& layer : layers_) {
-      for (const LayerPlan* plan : {&layer.w_z, &layer.w_r, &layer.w_h,
-                                    &layer.u_z, &layer.u_r, &layer.u_h}) {
-        panel_floats = std::max(panel_floats, plan->batch_gather_floats());
-        q8_words = std::max(q8_words, plan->q8_scratch_words(capacity));
-        all_int8 = all_int8 && plan->int8_weights();
-      }
-    }
-    fused_->lre.prepare(options_.threads, capacity * panel_floats);
-    fused_q8_acts_ =
-        options_.activation == ActivationPrecision::kInt8 && all_int8;
-    if (fused_q8_acts_) {
-      fused_->lre.prepare_q8(options_.threads, q8_words);
-      fused_->xq.resize(capacity,
-                        std::max(config_.input_dim, config_.hidden_dim));
-      fused_->hq.resize(capacity, config_.hidden_dim);
-      fused_->gq.resize(capacity, config_.hidden_dim);
-    }
-  }
-}
-
-bool CompiledSpeechModel::use_fused(std::size_t batch) const {
-  if (fused_ == nullptr) return false;  // kNever allocates no panels
-  if (batch > options_.max_fused_batch) return false;  // panel capacity
-  if (options_.fused == FusedMode::kAlways) return true;
-  return batch >= options_.min_fused_batch;
+  q8_acts_ = options_.activation == ActivationPrecision::kInt8 && all_int8;
 }
 
 void CompiledSpeechModel::step_layer(const CompiledLayer& layer,
@@ -150,22 +100,6 @@ void CompiledSpeechModel::step_layer(const CompiledLayer& layer,
   }
 }
 
-void CompiledSpeechModel::step_stream(std::span<const float> frame,
-                                      StreamState& state,
-                                      std::span<float> logits,
-                                      StepScratch& scratch,
-                                      ThreadPool* pool) const {
-  std::span<const float> input = frame;
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    step_layer(layers_[l], input, state.h[l].span(), scratch.h_next.span(),
-               scratch, pool);
-    std::swap(state.h[l], scratch.h_next);
-    input = state.h[l].span();
-  }
-  fc_.execute(input, logits, pool, &scratch.lre);
-  add_inplace(logits, fc_b_.span());
-}
-
 StreamState CompiledSpeechModel::make_state() const {
   StreamState state;
   state.h.assign(layers_.size(), Vector(config_.hidden_dim, 0.0F));
@@ -188,40 +122,17 @@ StepResult CompiledSpeechModel::step_batch(
                "step_batch: state layer count mismatch");
   }
 
-  if (use_fused(batch)) {
-    return step_batch_fused(features, states, logits);
-  }
-
-  const auto run_rows = [&](std::size_t slot, std::size_t begin,
-                            std::size_t end) {
-    StepScratch& scratch = *step_scratch_[slot];
-    for (std::size_t b = begin; b < end; ++b) {
-      // Per-stream kernels run single-threaded: with many streams in
-      // flight, cross-stream partitioning keeps every core busy without
-      // nested pool dispatch.
-      step_stream(features.row(b), *states[b], logits.row(b), scratch,
-                  nullptr);
-    }
-  };
-  if (pool_ != nullptr && batch > 1) {
-    pool_->parallel_for_indexed(batch, run_rows);
-  } else {
-    run_rows(0, 0, batch);
-  }
-  return {batch, false};
-}
-
-StepResult CompiledSpeechModel::step_batch_fused(
-    const Matrix& features, std::span<StreamState* const> states,
-    Matrix& logits) const {
-  const std::size_t batch = states.size();
   const std::size_t hidden = config_.hidden_dim;
-  FusedScratch& fs = *fused_;
+  BatchScratch& fs = batch_;
+  fs.reserve(batch, hidden);
+  // Width 1 runs the per-vector kernel on the fp32 rows: quantizing one
+  // stream costs more than the code-by-code kernel saves.
+  const bool q8 = q8_acts_ && batch > 1;
 
   // The gate elementwise passes are per-(stream, unit) independent, so
   // partitioning them across the pool cannot change any stream's
   // arithmetic; each stream's loop body is textually the per-stream
-  // step_layer's, preserving bitwise identity.
+  // step_layer's, preserving bitwise identity with infer().
   const auto for_streams = [&](auto&& fn) {
     if (pool_ != nullptr && batch > 1) {
       pool_->parallel_for(batch, [&](std::size_t begin, std::size_t end) {
@@ -246,7 +157,7 @@ StepResult CompiledSpeechModel::step_batch_fused(
     });
     const QuantizedActivations* xqp = nullptr;
     const QuantizedActivations* hqp = nullptr;
-    if (fused_q8_acts_) {
+    if (q8) {
       fs.xq.resize(batch, x->cols());
       fs.hq.resize(batch, hidden);
       for_streams([&](std::size_t b) {
@@ -282,7 +193,7 @@ StepResult CompiledSpeechModel::step_batch_fused(
       }
     });
     const QuantizedActivations* gqp = nullptr;
-    if (fused_q8_acts_) {
+    if (q8) {
       fs.gq.resize(batch, hidden);
       for_streams(
           [&](std::size_t b) { fs.gq.quantize_row(b, fs.b.row(b)); });
@@ -316,7 +227,7 @@ StepResult CompiledSpeechModel::step_batch_fused(
   }
 
   const QuantizedActivations* xqp = nullptr;
-  if (fused_q8_acts_) {
+  if (q8) {
     fs.xq.resize(batch, x->cols());
     for_streams([&](std::size_t b) { fs.xq.quantize_row(b, x->row(b)); });
     fs.xq.transpose(batch);
@@ -326,7 +237,7 @@ StepResult CompiledSpeechModel::step_batch_fused(
   for (std::size_t b = 0; b < batch; ++b) {
     add_inplace(logits.row(b), fc_b_.span());
   }
-  return {batch, true};
+  return {batch};
 }
 
 Matrix CompiledSpeechModel::infer(const Matrix& features) const {

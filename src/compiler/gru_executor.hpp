@@ -8,7 +8,6 @@
 #pragma once
 
 #include <map>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -33,13 +32,14 @@ struct StreamState {
   }
 };
 
-/// What one step_batch dispatch actually ran: the compute width (streams
-/// advanced) and whether it went through the fused batched-matmat spine
-/// or the per-stream matvec fallback. The engine mirrors this into
-/// RuntimeStats / telemetry (rt_fused_steps_total etc.).
+/// What one step_batch dispatch ran: the compute width (streams
+/// advanced). The engine mirrors it into RuntimeStats / telemetry
+/// (rt_fused_steps_total, rt_fused_batch_width).
 struct StepResult {
   std::size_t width = 0;
-  bool fused = false;
+  /// Always true: every step runs the batched spine. Kept only because
+  /// rtbench reads it; a benchmark change may drop it.
+  bool fused = true;
 };
 
 class CompiledSpeechModel {
@@ -64,26 +64,25 @@ class CompiledSpeechModel {
   /// its recurrence (updated in place), and row b of `logits` receives its
   /// per-frame class scores. `features`/`logits` may have extra trailing
   /// rows (callers reuse grow-only buffers across fluctuating batch
-  /// sizes). Streams are partitioned across the thread pool (cross-stream
-  /// parallelism replaces intra-matvec threading), and each stream
-  /// computes exactly the arithmetic of infer(), so chunked streaming
-  /// output is bit-identical to whole-utterance inference.
+  /// sizes).
   ///
-  /// Chunk workers reuse per-slot StepScratch buffers cached on the model,
-  /// so one engine driving step_batch is allocation-free per timestep; as
-  /// a consequence step_batch must not be called concurrently on the same
+  /// Every width runs one batched spine: each layer gathers the batch's
+  /// hidden states into one contiguous panel and drives each weight
+  /// matrix ONCE over all streams (batched matmat). Width 1 is the
+  /// per-vector kernel (LayerPlan::execute_batch delegates to execute)
+  /// and never quantizes activations, so int8-activation models only
+  /// take the code-by-code kernels at widths above 1. The panel's row
+  /// order is the order of `states` (the caller's scheduler-gather
+  /// order) and is part of the numerics contract: fp32/fp16/int8-weight
+  /// output is bit-identical to infer() per stream, independent of
+  /// batch composition, because every per-stream accumulation keeps its
+  /// per-vector order — so chunked streaming output equals
+  /// whole-utterance inference.
+  ///
+  /// The panels live on the model and grow to the widest batch seen, so
+  /// a steady serving loop is allocation-free per timestep; as a
+  /// consequence step_batch must not be called concurrently on the same
   /// CompiledSpeechModel (each serving shard owns its own instance).
-  ///
-  /// Dispatch: when CompilerOptions::fused admits the batch width (see
-  /// FusedMode), the step runs the fused spine — every layer gathers the
-  /// batch's hidden states into one contiguous panel and drives each
-  /// weight matrix ONCE over all streams (batched matmat) instead of
-  /// once per stream. The panel's row order is the order of `states`
-  /// (the caller's scheduler-gather order) and is part of the numerics
-  /// contract: fp32/fp16 fused output is bit-identical to the
-  /// per-stream path per stream, independent of batch composition,
-  /// because every per-stream accumulation keeps its per-vector order.
-  /// Returns what ran so callers can account fused vs fallback steps.
   StepResult step_batch(const Matrix& features,
                         std::span<StreamState* const> states,
                         Matrix& logits) const;
@@ -125,58 +124,42 @@ class CompiledSpeechModel {
     Vector b_z, b_r, b_h;
   };
 
-  /// Hidden-sized scratch buffers for one stream's step_layer calls;
-  /// `h_next` is the staging vector step_stream swaps layer states
-  /// through, and `lre` carries the BSPC kernels' gather buffers — both
-  /// hoisted here to keep the serving hot path allocation-free (the
-  /// model ctor pre-sizes `lre` to the widest plan's need).
+  /// Hidden-sized scratch buffers for one stream's step_layer calls
+  /// (infer and the single-stream recurrence); `lre` carries the BSPC
+  /// kernels' gather buffers.
   struct StepScratch {
     explicit StepScratch(std::size_t hidden)
-        : a(hidden), b(hidden), c(hidden), d(hidden), h_next(hidden) {}
-    Vector a, b, c, d, h_next;
+        : a(hidden), b(hidden), c(hidden), d(hidden) {}
+    Vector a, b, c, d;
     LreScratch lre;
   };
 
-  /// Panels and quantized-activation buffers for the fused batched
-  /// step, pre-sized at compile time to max_fused_batch so the serving
-  /// step path is allocation-free. Row b of every panel belongs to
-  /// stream b of the dispatched batch (states order). `h` holds the
-  /// gathered previous hidden states; `out0`/`out1` alternate as each
-  /// layer's output panel (the next layer's input); `a`..`d` mirror
-  /// StepScratch's gate buffers, one row per stream. `xq`/`hq`/`gq`
-  /// carry the int8 activation codes for the input, hidden, and (r.h)
-  /// panels when the int8 activation path is on.
-  struct FusedScratch {
-    FusedScratch(std::size_t capacity, std::size_t hidden)
-        : h(capacity, hidden), out0(capacity, hidden), out1(capacity, hidden),
-          a(capacity, hidden), b(capacity, hidden), c(capacity, hidden),
-          d(capacity, hidden) {}
+  /// Panels and quantized-activation buffers for step_batch, grown to
+  /// the widest batch seen and never shrunk. Row b of every panel
+  /// belongs to stream b of the dispatched batch (states order). `h`
+  /// holds the gathered previous hidden states; `out0`/`out1` alternate
+  /// as each layer's output panel (the next layer's input); `a`..`d`
+  /// mirror StepScratch's gate buffers, one row per stream. `xq`/`hq`/
+  /// `gq` carry the int8 activation codes for the input, hidden, and
+  /// (r.h) panels when the int8 activation path is on.
+  struct BatchScratch {
+    /// Grows every panel to at least `batch` rows of `hidden` floats.
+    void reserve(std::size_t batch, std::size_t hidden) {
+      if (h.rows() >= batch) return;
+      for (Matrix* panel : {&h, &out0, &out1, &a, &b, &c, &d}) {
+        *panel = Matrix(batch, hidden);
+      }
+    }
     Matrix h, out0, out1, a, b, c, d;
     QuantizedActivations xq, hq, gq;
     LreScratch lre;
   };
 
   /// One GRU timestep of one stream. `pool` threads the individual
-  /// matvecs (nullptr = single-threaded, the mode the batched path uses
-  /// because it parallelizes across streams instead).
+  /// matvecs (nullptr = single-threaded).
   void step_layer(const CompiledLayer& layer, std::span<const float> x,
                   std::span<const float> h_prev, std::span<float> h_out,
                   StepScratch& scratch, ThreadPool* pool) const;
-
-  /// True when this batch width should take the fused spine.
-  [[nodiscard]] bool use_fused(std::size_t batch) const;
-
-  /// The fused batched step: per layer, gather hidden panels, drive each
-  /// weight matrix once over the whole batch, run the gate elementwise
-  /// passes per stream, scatter the new hidden states back.
-  StepResult step_batch_fused(const Matrix& features,
-                              std::span<StreamState* const> states,
-                              Matrix& logits) const;
-
-  /// Advances every layer of one stream and writes its logits row.
-  void step_stream(std::span<const float> frame, StreamState& state,
-                   std::span<float> logits, StepScratch& scratch,
-                   ThreadPool* pool) const;
 
   ModelConfig config_;
   CompilerOptions options_;
@@ -184,20 +167,12 @@ class CompiledSpeechModel {
   LayerPlan fc_;
   Vector fc_b_;
   ThreadPool* pool_;
-  /// One StepScratch per step_batch chunk slot (pool thread count entries,
-  /// built eagerly so hot-path access never mutates the vector). Chunk w
-  /// of a parallel_for_indexed job uses slot w; slots are never shared
-  /// within a job, which is what makes the batched path allocation-free
-  /// per timestep instead of building a scratch per chunk per step.
-  std::vector<std::unique_ptr<StepScratch>> step_scratch_;
-  /// Fused-step panels; null when options_.fused == kNever (the mode's
-  /// promise that no fused memory exists). unique_ptr so const member
-  /// functions can fill the panels (scratch, not logical state).
-  std::unique_ptr<FusedScratch> fused_;
+  /// step_batch's panels: scratch, not logical state, so the const step
+  /// may fill them.
+  mutable BatchScratch batch_;
   /// Compile-time decision: int8 activations requested AND every GRU /
-  /// FC plan stores int8 weights, so the whole fused step can run
-  /// code-by-code.
-  bool fused_q8_acts_ = false;
+  /// FC plan stores int8 weights, so batched steps can run code-by-code.
+  bool q8_acts_ = false;
 };
 
 }  // namespace rtmobile

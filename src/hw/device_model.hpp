@@ -1,8 +1,7 @@
 // Analytic timing models for the mobile targets the paper measures on.
 //
 // We do not have a Snapdragon 855, so Table II's device columns are
-// reproduced with a calibrated sublinear-scaling model (see DESIGN.md's
-// substitution table):
+// reproduced with a calibrated sublinear-scaling model:
 //
 //   time_us(workload) = overhead_us
 //                       + gop / dense_gops * 1e6 * CR^(1 - q)
@@ -16,9 +15,9 @@
 //
 // Each preset is calibrated from exactly two anchors of Table II (the
 // dense endpoint and the 301x endpoint) plus the sparsity exponent q;
-// every intermediate row is then a *prediction* of the model that
-// EXPERIMENTS.md compares against the paper's measurements (GPU within
-// ~5%, CPU within ~16%).
+// every intermediate row is then a *prediction* of the model, which
+// bench_table2_perf_energy prints beside the paper's measurements and
+// tests/test_hw.cpp holds within tolerance of them.
 #pragma once
 
 #include <string>

@@ -1,9 +1,8 @@
 // The numbers published in the paper's Tables I and II, as data.
 //
-// The benchmark harness prints each reproduced value next to the paper's
-// value so EXPERIMENTS.md can record paper-vs-measured for every row, and
-// tests assert that the calibrated device models stay within tolerance of
-// the published measurements.
+// The table benches print each reproduced value next to the paper's
+// value, and tests assert that the calibrated device models stay within
+// tolerance of the published measurements.
 #pragma once
 
 #include <optional>

@@ -48,110 +48,103 @@ ThreadPool::ThreadPool(std::size_t threads, std::optional<CoreRange> affinity) {
 }
 
 ThreadPool::~ThreadPool() {
-  shutting_down_.store(true, std::memory_order_release);
-  generation_.fetch_add(1, std::memory_order_release);
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    work_ready_.notify_all();
+    shutting_down_.store(true, std::memory_order_release);
+    generation_.fetch_add(1, std::memory_order_release);
   }
+  work_ready_.notify_all();
   for (std::thread& t : threads_) t.join();
 }
 
-void ThreadPool::drain_current_job() {
-  const std::size_t count = task_count_.load(std::memory_order_acquire);
-  const auto* tasks = tasks_;
-  if (tasks == nullptr) return;
+void ThreadPool::drain(const std::vector<std::function<void()>>& tasks) {
   for (;;) {
     const std::size_t index = next_.fetch_add(1, std::memory_order_relaxed);
-    if (index >= count) break;
-    std::exception_ptr caught;
+    if (index >= tasks.size()) return;
     try {
-      (*tasks)[index]();
+      tasks[index]();
     } catch (...) {
-      caught = std::current_exception();
-    }
-    if (caught) {
       const std::lock_guard<std::mutex> lock(mutex_);
-      if (!error_) error_ = caught;
+      if (!error_) error_ = std::current_exception();
     }
     if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // Last task of the job: wake the caller if it gave up spinning.
-      if (caller_sleeping_.load(std::memory_order_acquire)) {
+      // Last task: wake the caller if it gave up spinning. Taking the
+      // lock orders this against its predicate check.
+      {
         const std::lock_guard<std::mutex> lock(mutex_);
-        job_done_.notify_all();
       }
+      job_done_.notify_all();
     }
   }
 }
 
 void ThreadPool::worker_loop() {
-  std::uint64_t seen = generation_.load(std::memory_order_acquire);
+  std::uint64_t seen = 0;
   for (;;) {
-    // Hot path: spin on the generation counter.
+    // Hot path: spin on the generation counter without the lock.
     bool have_work = false;
     for (int spin = 0; spin < kSpinIterations; ++spin) {
-      if (shutting_down_.load(std::memory_order_acquire)) return;
       if (generation_.load(std::memory_order_acquire) != seen) {
         have_work = true;
         break;
       }
       spin_pause(spin);
     }
+    std::unique_lock<std::mutex> lock(mutex_);
     if (!have_work) {
-      std::unique_lock<std::mutex> lock(mutex_);
-      sleepers_.fetch_add(1, std::memory_order_acq_rel);
       work_ready_.wait(lock, [this, seen] {
-        return shutting_down_.load(std::memory_order_acquire) ||
-               generation_.load(std::memory_order_acquire) != seen;
+        return generation_.load(std::memory_order_relaxed) != seen;
       });
-      sleepers_.fetch_sub(1, std::memory_order_acq_rel);
-      if (shutting_down_.load(std::memory_order_acquire)) return;
     }
-    seen = generation_.load(std::memory_order_acquire);
-    drain_current_job();
+    if (shutting_down_.load(std::memory_order_relaxed)) return;
+    // Join whatever job is open now (the slot and generation are read
+    // together under the lock); a job that already retired has no task
+    // list to join.
+    seen = generation_.load(std::memory_order_relaxed);
+    const std::vector<std::function<void()>>* tasks = tasks_;
+    if (tasks == nullptr) continue;
+    participants_.fetch_add(1, std::memory_order_relaxed);
+    lock.unlock();
+    drain(*tasks);
+    lock.lock();
+    if (participants_.fetch_sub(1, std::memory_order_release) == 1) {
+      job_done_.notify_all();
+    }
   }
 }
 
 void ThreadPool::run_all(const std::vector<std::function<void()>>& tasks) {
   if (tasks.empty()) return;
-  RT_ASSERT(remaining_.load(std::memory_order_acquire) == 0,
-            "nested run_all is not supported");
   {
     const std::lock_guard<std::mutex> lock(mutex_);
+    RT_ASSERT(tasks_ == nullptr, "nested run_all is not supported");
     error_ = nullptr;
+    tasks_ = &tasks;
+    next_.store(0, std::memory_order_relaxed);
+    remaining_.store(tasks.size(), std::memory_order_relaxed);
+    generation_.fetch_add(1, std::memory_order_release);
   }
-  tasks_ = &tasks;
-  task_count_.store(tasks.size(), std::memory_order_relaxed);
-  next_.store(0, std::memory_order_relaxed);
-  remaining_.store(tasks.size(), std::memory_order_relaxed);
-  caller_sleeping_.store(false, std::memory_order_relaxed);
-  generation_.fetch_add(1, std::memory_order_release);
-  if (sleepers_.load(std::memory_order_acquire) > 0) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    work_ready_.notify_all();
-  }
+  work_ready_.notify_all();
 
   // The caller is a worker too — on a 1-thread pool it does all the work.
-  drain_current_job();
+  drain(tasks);
 
   // Wait for stragglers: spin briefly, then block.
-  for (int spin = 0; spin < kSpinIterations; ++spin) {
-    if (remaining_.load(std::memory_order_acquire) == 0) break;
+  const auto finished = [this] {
+    return remaining_.load(std::memory_order_acquire) == 0 &&
+           participants_.load(std::memory_order_acquire) == 0;
+  };
+  for (int spin = 0; spin < kSpinIterations && !finished(); ++spin) {
     spin_pause(spin);
   }
-  if (remaining_.load(std::memory_order_acquire) != 0) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    caller_sleeping_.store(true, std::memory_order_release);
-    job_done_.wait(lock, [this] {
-      return remaining_.load(std::memory_order_acquire) == 0;
-    });
-    caller_sleeping_.store(false, std::memory_order_release);
-  }
-  tasks_ = nullptr;
-
   std::exception_ptr to_throw;
   {
-    const std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
+    // Retire the job first so no late waker can join it, then wait for
+    // the participants already in: until they leave, the task list and
+    // next_ must stay as they are.
+    tasks_ = nullptr;
+    job_done_.wait(lock, finished);
     to_throw = error_;
     error_ = nullptr;
   }
@@ -160,15 +153,6 @@ void ThreadPool::run_all(const std::vector<std::function<void()>>& tasks) {
 
 void ThreadPool::parallel_for(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
-  parallel_for_indexed(
-      n, [&fn](std::size_t, std::size_t begin, std::size_t end) {
-        fn(begin, end);
-      });
-}
-
-void ThreadPool::parallel_for_indexed(
-    std::size_t n,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
   if (n == 0) return;
   const std::size_t workers = std::min(thread_count(), n);
   std::vector<std::function<void()>> tasks;
@@ -176,7 +160,7 @@ void ThreadPool::parallel_for_indexed(
   for (std::size_t w = 0; w < workers; ++w) {
     const std::size_t begin = w * n / workers;
     const std::size_t end = (w + 1) * n / workers;
-    tasks.emplace_back([&fn, w, begin, end] { fn(w, begin, end); });
+    tasks.emplace_back([&fn, begin, end] { fn(begin, end); });
   }
   run_all(tasks);
 }

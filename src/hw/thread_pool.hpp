@@ -5,8 +5,14 @@
 // dispatch latency dominates unless workers stay hot: workers spin briefly
 // on an atomic generation counter before sleeping on a condition variable,
 // tasks are claimed with an atomic cursor, and the calling thread helps
-// execute — bringing dispatch cost from ~100 us (pure condvar) to ~1 us
-// when the pool is busy.
+// execute — so a busy pool dispatches without a condvar round trip.
+//
+// A worker joins a job only under the mutex, where it takes the job's
+// task list and registers as a participant; run_all retires the job
+// under the same mutex and waits for every participant to leave before
+// it returns. So a late waker joins whichever job is open when it takes
+// the lock, or none, and the task list and claim cursor never change
+// under a participant.
 #pragma once
 
 #include <atomic>
@@ -55,13 +61,6 @@ class ThreadPool {
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 
-  /// parallel_for variant that also hands fn the chunk index (0-based,
-  /// < min(thread_count(), n)). Each chunk index is claimed exactly once
-  /// per job, so it can key per-chunk scratch storage without locking.
-  void parallel_for_indexed(
-      std::size_t n, const std::function<void(std::size_t, std::size_t,
-                                              std::size_t)>& fn);
-
   /// Runs `tasks` concurrently across the pool (the caller participates);
   /// blocks until all complete. Not reentrant from inside a task.
   void run_all(const std::vector<std::function<void()>>& tasks);
@@ -76,27 +75,28 @@ class ThreadPool {
 
  private:
   void worker_loop();
-  /// Claims and runs tasks from the current job; returns when drained.
-  void drain_current_job();
+  /// Claims and runs `tasks` entries through next_ until none are left.
+  void drain(const std::vector<std::function<void()>>& tasks);
 
   std::vector<std::thread> threads_;  // the caller is the extra worker
   std::size_t configured_threads_ = 1;
 
-  // Job publication protocol: the caller writes tasks_/task_count_/next_/
-  // remaining_, then bumps generation_ (release); workers acquire-read
-  // generation_ and then see a consistent job.
+  // Bumped (under mutex_) for every published job and at shutdown;
+  // idle workers spin on it without the lock.
   std::atomic<std::uint64_t> generation_{0};
   std::atomic<bool> shutting_down_{false};
+  // The job slot. tasks_ is written by run_all and read by joining
+  // workers, both under mutex_; non-null only while a job is open.
   const std::vector<std::function<void()>>* tasks_ = nullptr;
-  std::atomic<std::size_t> task_count_{0};
-  std::atomic<std::size_t> next_{0};
-  std::atomic<std::size_t> remaining_{0};
+  // Workers holding the current job's task list. Changed only under
+  // mutex_; run_all also reads it lock-free while spinning.
+  std::atomic<std::size_t> participants_{0};
+  std::atomic<std::size_t> next_{0};       // claim cursor into *tasks_
+  std::atomic<std::size_t> remaining_{0};  // tasks not yet finished
 
-  std::mutex mutex_;  // guards sleeping/waking and error_
+  std::mutex mutex_;  // guards the job slot, sleeping/waking and error_
   std::condition_variable work_ready_;
   std::condition_variable job_done_;
-  std::atomic<int> sleepers_{0};
-  std::atomic<bool> caller_sleeping_{false};
   std::exception_ptr error_;
 };
 

@@ -35,9 +35,6 @@ Telemetry::Telemetry(std::size_t span_ring_capacity)
   engine_.fused_steps = &registry_.counter(
       "rt_fused_steps_total",
       "Scheduling rounds whose batch ran the fused batched-matmat step");
-  engine_.fallback_steps = &registry_.counter(
-      "rt_fallback_steps_total",
-      "Scheduling rounds whose batch fell back to per-stream matvecs");
   engine_.fused_batch_width = &registry_.histogram(
       "rt_fused_batch_width",
       "Streams advanced per fused step (compute panel width)",

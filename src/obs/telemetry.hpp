@@ -35,7 +35,6 @@ struct EngineMetrics {
   Counter* shed_frames = nullptr;       // == RuntimeStats::shed_frames
   Counter* rejected_streams = nullptr;  // == RuntimeStats::rejected_streams
   Counter* fused_steps = nullptr;       // == RuntimeStats::fused_steps
-  Counter* fallback_steps = nullptr;    // == RuntimeStats::fallback_steps
   Gauge* busy_us = nullptr;             // ~= RuntimeStats::busy_us
   Gauge* audio_seconds = nullptr;       // ~= RuntimeStats::audio_seconds
   Histogram* step_latency_us = nullptr;

@@ -3,9 +3,9 @@
 //
 // The full-size configuration (input 153, two GRU layers of 1024, 39
 // classes) has 9,913,344 RNN parameters, matching the paper's "about 9.6M
-// overall" GRU. Accuracy experiments use a scaled configuration (see
-// DESIGN.md) because training the full model from scratch on a CPU is out
-// of budget; performance experiments always use the full size.
+// overall" GRU. Accuracy experiments use a scaled configuration
+// (ModelConfig::scaled) because training the full model from scratch on a
+// CPU is out of budget; performance experiments always use the full size.
 #pragma once
 
 #include <iosfwd>

@@ -275,19 +275,12 @@ std::size_t InferenceEngine::step() {
       RT_SPAN(trace, kLayerStep, obs::kNoStream);
       const StepResult result =
           model_.step_batch(batch_features_, states_, batch_logits_);
-      if (result.fused) {
-        stats_.fused_steps += 1;
-        stats_.fused_width.record(static_cast<double>(result.width));
-        if (telemetry != nullptr) {
-          telemetry->engine().fused_steps->add(1);
-          telemetry->engine().fused_batch_width->observe(
-              static_cast<double>(result.width));
-        }
-      } else {
-        stats_.fallback_steps += 1;
-        if (telemetry != nullptr) {
-          telemetry->engine().fallback_steps->add(1);
-        }
+      stats_.fused_steps += 1;
+      stats_.fused_width.record(static_cast<double>(result.width));
+      if (telemetry != nullptr) {
+        telemetry->engine().fused_steps->add(1);
+        telemetry->engine().fused_batch_width->observe(
+            static_cast<double>(result.width));
       }
     }
 

@@ -118,16 +118,15 @@ struct RuntimeStats {
   /// Resident cache footprint in bytes (a level, republished after every
   /// round that touched the cache; merging sums shard residency).
   std::size_t cache_bytes = 0;
-  /// Scheduling rounds whose compute batch ran the fused batched-matmat
-  /// spine, and rounds that fell back to the per-stream matvec path.
-  /// fused_steps + fallback_steps counts every round that dispatched
-  /// step_batch (cache-only rounds dispatch none, so it can be less
-  /// than `steps`).
+  /// Scheduling rounds that dispatched step_batch's batched spine
+  /// (cache-only rounds dispatch none, so it can be less than `steps`).
   std::size_t fused_steps = 0;
+  /// Always 0: every dispatched round runs the batched spine. Kept only
+  /// because rtbench reads it; a benchmark change may drop it.
   std::size_t fallback_steps = 0;
-  /// One sample per fused round: the compute panel's width (streams
-  /// advanced by that fused step) — the batch-occupancy signal that
-  /// says how much weight traffic the fusion is actually amortizing.
+  /// One sample per dispatched round: the compute panel's width
+  /// (streams advanced by that step) — the batch-occupancy signal that
+  /// says how much weight traffic the batching is actually amortizing.
   LatencyRecorder fused_width;
 
   /// Applies a retained-sample cap to every recorder (0 = unbounded).
@@ -178,7 +177,6 @@ struct RuntimeStats {
     cache_evictions += other.cache_evictions;
     cache_bytes += other.cache_bytes;
     fused_steps += other.fused_steps;
-    fallback_steps += other.fallback_steps;
     fused_width.merge_from(other.fused_width);
   }
 
@@ -207,7 +205,6 @@ struct RuntimeStats {
     cache_evictions = 0;
     cache_bytes = 0;
     fused_steps = 0;
-    fallback_steps = 0;
     fused_width.reset();
   }
 };

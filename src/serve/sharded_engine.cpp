@@ -1014,7 +1014,14 @@ std::size_t ShardedEngine::seize_and_migrate(std::size_t s,
   }
 
   for (StreamEntry* e : latched) latch_release(e->route_latch);
-  for (const auto& shard : shards_) publish_backlog(*shard);
+  // Only the seized source is this thread's to read. While pumps run,
+  // each target's pump republishes its own backlog every round.
+  publish_backlog(source);
+  if (!running()) {
+    for (const auto& shard : shards_) {
+      if (shard.get() != &source) publish_backlog(*shard);
+    }
+  }
 
   if (telemetry != nullptr) {
     if (record_failover) telemetry->fault().failovers->add(1);

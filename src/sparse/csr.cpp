@@ -38,19 +38,6 @@ void CsrMatrix::spmv(std::span<const float> x, std::span<float> y) const {
   }
 }
 
-void CsrMatrix::spmv_accumulate(std::span<const float> x,
-                                std::span<float> y) const {
-  RT_REQUIRE(x.size() == cols_, "spmv: x size mismatch");
-  RT_REQUIRE(y.size() == rows_, "spmv: y size mismatch");
-  for (std::size_t r = 0; r < rows_; ++r) {
-    float acc = 0.0F;
-    for (std::uint32_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      acc += values_[k] * x[col_idx_[k]];
-    }
-    y[r] += acc;
-  }
-}
-
 Matrix CsrMatrix::to_dense() const {
   Matrix dense(rows_, cols_, 0.0F);
   for (std::size_t r = 0; r < rows_; ++r) {

@@ -30,9 +30,6 @@ class CsrMatrix {
   /// y = A x.
   void spmv(std::span<const float> x, std::span<float> y) const;
 
-  /// y += A x.
-  void spmv_accumulate(std::span<const float> x, std::span<float> y) const;
-
   /// Reconstructs the dense matrix (pruned entries are zero).
   [[nodiscard]] Matrix to_dense() const;
 

@@ -1,8 +1,8 @@
 // SyntheticTimit: the deterministic TIMIT-substitute corpus.
 //
 // TIMIT itself is LDC-licensed and unavailable offline, so experiments run
-// on a synthetic phone corpus with the same task structure (DESIGN.md
-// documents the substitution): 61 surface phones folded to 39 scoring
+// on a synthetic phone corpus with the same task structure: 61 surface
+// phones folded to 39 scoring
 // classes, class-aware bigram phonotactics (closures before stops, CV
 // alternation, utterances bracketed by silence), per-phone durations, and
 // two feature modes:

@@ -1,16 +1,17 @@
-// Parity grid for the fused batched step (the batched-matmat spine).
+// Parity grid for the batched step (the batched-matmat spine).
 //
-// Contract under test: when CompilerOptions::fused admits a batch,
-// step_batch gathers the streams' hidden states into contiguous panels
-// and drives every weight matrix once per layer per step over the whole
-// batch — and that refactor is invisible in the numbers. fp32 and fp16
-// fused output is bit-identical to the per-stream path (and to
-// whole-utterance infer) for every batch width, sparsity pattern, and
-// batch composition; int8 weights stay bitwise because both paths share
-// the same dot kernels; int8 *activations* (the one mode that changes
-// arithmetic) stay within a small quantization bound. The panel's
-// stream order is pinned to the caller's states order, so permuting a
-// batch never changes any individual stream's logits.
+// Contract under test: step_batch gathers the streams' hidden states
+// into contiguous panels and drives every weight matrix once per layer
+// per step over the whole batch — and that is invisible in the
+// numbers. fp32 and fp16 output is bit-identical to whole-utterance
+// infer for every batch width (including widths past any earlier
+// panel, which exercise panel growth), sparsity pattern, and batch
+// composition; int8 weights stay bitwise because both share the same
+// dot kernels; int8 *activations* (the one mode that changes
+// arithmetic, and only above width 1) stay within a small quantization
+// bound. The panel's stream order is pinned to the caller's states
+// order, so permuting a batch never changes any individual stream's
+// logits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -67,14 +68,13 @@ ModelFixture make_fixture(std::size_t hidden, std::uint64_t seed,
 }
 
 std::unique_ptr<CompiledSpeechModel> compile(
-    const ModelFixture& f, FusedMode mode, ThreadPool* pool,
+    const ModelFixture& f, ThreadPool* pool,
     WeightPrecision precision = WeightPrecision::kFp32,
     ActivationPrecision activation = ActivationPrecision::kFp32) {
   CompilerOptions options;
   options.format = SparseFormat::kBspc;
   options.precision = precision;
   options.activation = activation;
-  options.fused = mode;
   if (pool != nullptr) options.threads = pool->thread_count();
   return std::make_unique<CompiledSpeechModel>(*f.model, f.masks, options,
                                                pool);
@@ -137,9 +137,10 @@ std::vector<Matrix> run_streamed(const CompiledSpeechModel& m,
 TEST(FusedStep, Fp32BitIdenticalAcrossBatchWidths) {
   const ModelFixture f = make_fixture(24, 60);
   ThreadPool pool(2);
-  const auto fused = compile(f, FusedMode::kAlways, &pool);
-  // Widths: degenerate 1, == pool threads, odd, > pool threads.
-  for (const std::size_t width : {1UL, 2UL, 3UL, 5UL}) {
+  const auto fused = compile(f, &pool);
+  // Widths: degenerate 1, == pool threads, odd, > pool threads, and 70
+  // (wider than any earlier call on this model, so the panels grow).
+  for (const std::size_t width : {1UL, 2UL, 3UL, 5UL, 70UL}) {
     const std::vector<Matrix> utts =
         random_utterances(width, {6}, f.model->config().input_dim, 61);
     const std::vector<Matrix> streamed = run_streamed(*fused, utts);
@@ -152,13 +153,13 @@ TEST(FusedStep, Fp32BitIdenticalAcrossBatchWidths) {
 
 TEST(FusedStep, PackedWeightsBitIdenticalThroughFusedPath) {
   // fp16 and int8 *weights* share the per-vector dot kernels between the
-  // fused and per-stream paths, so they too are bitwise — activation
+  // batched step and infer, so they too are bitwise — activation
   // quantization (below) is the only mode allowed to move a bit.
   const ModelFixture f = make_fixture(24, 62);
   ThreadPool pool(2);
   for (const WeightPrecision precision :
        {WeightPrecision::kFp16, WeightPrecision::kInt8PerRow}) {
-    const auto fused = compile(f, FusedMode::kAlways, &pool, precision);
+    const auto fused = compile(f, &pool, precision);
     const std::vector<Matrix> utts =
         random_utterances(4, {5}, f.model->config().input_dim, 63);
     const std::vector<Matrix> streamed = run_streamed(*fused, utts);
@@ -173,7 +174,7 @@ TEST(FusedStep, SparsityPatternsStayBitIdentical) {
   ThreadPool pool(2);
   for (const double keep : {0.15, 0.4, 0.8}) {
     const ModelFixture f = make_fixture(24, 64, keep);
-    const auto fused = compile(f, FusedMode::kAlways, &pool);
+    const auto fused = compile(f, &pool);
     const std::vector<Matrix> utts =
         random_utterances(3, {5}, f.model->config().input_dim, 65);
     const std::vector<Matrix> streamed = run_streamed(*fused, utts);
@@ -188,18 +189,15 @@ TEST(FusedStep, SparsityPatternsStayBitIdentical) {
 TEST(FusedStep, Int8ActivationsWithinQuantizationBound) {
   const ModelFixture f = make_fixture(24, 66);
   ThreadPool pool(2);
-  const auto q8 = compile(f, FusedMode::kAlways, &pool,
-                          WeightPrecision::kInt8PerRow,
+  const auto q8 = compile(f, &pool, WeightPrecision::kInt8PerRow,
                           ActivationPrecision::kInt8);
-  const auto reference = compile(f, FusedMode::kNever, &pool,
-                                 WeightPrecision::kInt8PerRow);
   const std::vector<Matrix> utts =
       random_utterances(4, {6}, f.model->config().input_dim, 67);
   const std::vector<Matrix> actual = run_streamed(*q8, utts);
-  const std::vector<Matrix> expected = run_streamed(*reference, utts);
   for (std::size_t s = 0; s < utts.size(); ++s) {
-    const float diff =
-        max_abs_diff(actual[s].span(), expected[s].span());
+    // infer() runs the per-vector kernels on fp32 activations.
+    const Matrix expected = q8->infer(utts[s]);
+    const float diff = max_abs_diff(actual[s].span(), expected.span());
     // The activation grid rounds each panel entry to 1/254 of its
     // stream's max magnitude; GRU activations are tanh/sigmoid-bounded,
     // so the per-logit drift stays far below this.
@@ -208,6 +206,18 @@ TEST(FusedStep, Int8ActivationsWithinQuantizationBound) {
     // mean the quantizer was silently bypassed.
     EXPECT_GT(diff, 0.0F) << "stream " << s;
   }
+}
+
+TEST(FusedStep, Int8ActivationsAtWidthOneMatchInferBitwise) {
+  // Width 1 is the per-vector kernel on the fp32 row: no activation
+  // quantization, so a lone stream is bitwise equal to infer().
+  const ModelFixture f = make_fixture(24, 78);
+  ThreadPool pool(2);
+  const auto q8 = compile(f, &pool, WeightPrecision::kInt8PerRow,
+                          ActivationPrecision::kInt8);
+  const std::vector<Matrix> utts =
+      random_utterances(1, {6}, f.model->config().input_dim, 79);
+  EXPECT_EQ(run_streamed(*q8, utts)[0], q8->infer(utts[0]));
 }
 
 // ------------------------------------------------- panel order pinning
@@ -219,7 +229,7 @@ TEST(FusedStep, PanelRowOrderIsPinnedToStatesOrder) {
   // depends on which panel row it occupies).
   const ModelFixture f = make_fixture(24, 68);
   ThreadPool pool(2);
-  const auto fused = compile(f, FusedMode::kAlways, &pool);
+  const auto fused = compile(f, &pool);
   constexpr std::size_t kStreams = 4;
   constexpr std::size_t kFrames = 5;
   const std::vector<Matrix> utts =
@@ -264,51 +274,13 @@ TEST(FusedStep, MidBatchStreamFinishKeepsParity) {
   // must keep bit-identity with its whole-utterance infer.
   const ModelFixture f = make_fixture(24, 70);
   ThreadPool pool(2);
-  const auto fused = compile(f, FusedMode::kAlways, &pool);
+  const auto fused = compile(f, &pool);
   const std::vector<Matrix> utts = random_utterances(
       5, {6, 3, 1, 5, 2}, f.model->config().input_dim, 71);
   const std::vector<Matrix> streamed = run_streamed(*fused, utts);
   for (std::size_t s = 0; s < utts.size(); ++s) {
     EXPECT_EQ(streamed[s], fused->infer(utts[s])) << "stream " << s;
   }
-}
-
-// --------------------------------------------------- dispatch boundaries
-TEST(FusedStep, DispatchRespectsModeAndWidthBounds) {
-  const ModelFixture f = make_fixture(16, 72);
-  CompilerOptions options;
-  options.format = SparseFormat::kBspc;
-  options.fused = FusedMode::kAuto;
-  options.min_fused_batch = 2;
-  options.max_fused_batch = 3;
-  const CompiledSpeechModel autod(*f.model, f.masks, options);
-  options.fused = FusedMode::kNever;
-  const CompiledSpeechModel never(*f.model, f.masks, options);
-  options.fused = FusedMode::kAlways;
-  const CompiledSpeechModel always(*f.model, f.masks, options);
-
-  const std::size_t input_dim = f.model->config().input_dim;
-  Matrix features(4, input_dim, 0.1F);
-  Matrix logits(4, autod.config().num_classes);
-  const auto dispatch = [&](const CompiledSpeechModel& m,
-                            std::size_t width) {
-    std::vector<StreamState> states(width, m.make_state());
-    std::vector<StreamState*> ptrs;
-    for (StreamState& s : states) ptrs.push_back(&s);
-    return m.step_batch(features, ptrs, logits);
-  };
-
-  // kAuto: below min -> fallback, inside [min, max] -> fused, above
-  // max (panel capacity) -> fallback.
-  EXPECT_FALSE(dispatch(autod, 1).fused);
-  EXPECT_TRUE(dispatch(autod, 2).fused);
-  EXPECT_TRUE(dispatch(autod, 3).fused);
-  EXPECT_FALSE(dispatch(autod, 4).fused);
-  EXPECT_EQ(dispatch(autod, 3).width, 3U);
-  // kNever compiles no panels at all; kAlways fuses even width 1.
-  EXPECT_FALSE(dispatch(never, 2).fused);
-  EXPECT_TRUE(dispatch(always, 1).fused);
-  EXPECT_FALSE(dispatch(always, 4).fused);  // beyond panel capacity
 }
 
 // ------------------------------------------------------- engine level
@@ -322,14 +294,13 @@ std::vector<float> random_waveform(std::size_t samples,
 
 TEST(FusedEngine, MixedLengthStreamsMatchInferAndAccountDispatch) {
   // Four streams of different lengths on one engine: rounds start at
-  // width 4 (fused) and end at width 1 (fallback under kAuto's
-  // min_fused_batch). Logits stay bit-identical to whole-utterance
-  // infer, and the stats ledger accounts every dispatched round as
-  // exactly one of fused/fallback, with the width histogram counting
-  // one sample per fused round.
+  // width 4 and end at width 1, all on the batched spine. Logits stay
+  // bit-identical to whole-utterance infer, and the stats ledger counts
+  // every round as a batched step, with the width histogram counting
+  // one sample per round.
   const ModelFixture f = make_fixture(24, 73);
   ThreadPool pool(2);
-  const auto compiled = compile(f, FusedMode::kAuto, &pool);
+  const auto compiled = compile(f, &pool);
   InferenceEngine engine(*compiled);
   const std::vector<std::size_t> samples = {7000, 9000, 12000, 16000};
   std::vector<std::vector<float>> waves;
@@ -350,10 +321,9 @@ TEST(FusedEngine, MixedLengthStreamsMatchInferAndAccountDispatch) {
         << "stream " << s;  // bitwise
   }
   const runtime::RuntimeStats& stats = engine.stats();
-  EXPECT_GT(stats.fused_steps, 0U);
-  EXPECT_GT(stats.fallback_steps, 0U);  // the width-1 tail rounds
   // Cache off: every counted round dispatched exactly one step_batch.
-  EXPECT_EQ(stats.fused_steps + stats.fallback_steps, stats.steps);
+  EXPECT_EQ(stats.fused_steps, stats.steps);
+  EXPECT_EQ(stats.fallback_steps, 0U);
   EXPECT_EQ(stats.fused_width.count(), stats.fused_steps);
 }
 
@@ -364,7 +334,7 @@ TEST(FusedEngine, CacheHitBurstShrinksPanelAndKeepsParity) {
   // bit-identical to compute throughout.
   const ModelFixture f = make_fixture(24, 75);
   ThreadPool pool(2);
-  const auto compiled = compile(f, FusedMode::kAuto, &pool);
+  const auto compiled = compile(f, &pool);
   EngineConfig config;
   config.cache.enabled = true;
   InferenceEngine engine(*compiled, config);
@@ -394,7 +364,7 @@ TEST(FusedEngine, CacheHitBurstShrinksPanelAndKeepsParity) {
   EXPECT_GT(stats.cache_hits, 0U);
   // Rounds fully served from cache dispatch no batch, so the dispatch
   // ledger undercounts rounds — never overcounts.
-  EXPECT_LE(stats.fused_steps + stats.fallback_steps, stats.steps);
+  EXPECT_LE(stats.fused_steps, stats.steps);
   EXPECT_EQ(stats.fused_width.count(), stats.fused_steps);
 }
 

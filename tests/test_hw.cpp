@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <functional>
+#include <thread>
+#include <vector>
 
 #include "hw/device_model.hpp"
 #include "hw/energy_model.hpp"
@@ -64,6 +68,29 @@ TEST(ThreadPool, PropagatesExceptions) {
     counter.fetch_add(static_cast<int>(end - begin));
   });
   EXPECT_EQ(counter.load(), 10);
+}
+
+TEST(ThreadPool, BackToBackJobsWithLateWakersRunEveryTaskOnce) {
+  // Each job's task vector dies when run_all returns, the next job is
+  // published at once, and idle gaps let the workers fall asleep so they
+  // wake late into a newer job. Every task of every job must run exactly
+  // once, on live state: a worker mixing two jobs either drops a task
+  // (run_all never returns) or runs a dead job's task.
+  ThreadPool pool(4);
+  for (std::size_t job = 0; job < 20000; ++job) {
+    std::vector<int> hits(4, 0);
+    {
+      std::vector<std::function<void()>> tasks;
+      for (std::size_t t = 0; t < hits.size(); ++t) {
+        tasks.emplace_back([&hits, t] { ++hits[t]; });
+      }
+      pool.run_all(tasks);
+    }
+    for (const int h : hits) ASSERT_EQ(h, 1) << "job " << job;
+    if (job % 256 == 255) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  }
 }
 
 TEST(ThreadPool, RejectsZeroThreads) {

@@ -531,16 +531,14 @@ TEST(ObsE2E, LiveScrapeMatchesStatsAggregatorExactly) {
   // Step-latency histogram count tracks engine rounds one-for-one.
   EXPECT_EQ(counter_value(body, "rt_engine_step_latency_us_count"),
             stats.merged.steps);
-  // Fused-step accounting mirrors RuntimeStats exactly: every round that
-  // dispatched compute is either fused or a per-stream fallback (with
-  // the cache off here, that is every round), and the fused-width
-  // histogram holds one observation per fused round.
+  // Step accounting mirrors RuntimeStats exactly: every round that
+  // dispatched compute ran the batched spine (with the cache off here,
+  // that is every round), and the width histogram holds one
+  // observation per dispatched round.
   EXPECT_EQ(counter_value(body, "rt_fused_steps_total"),
             stats.merged.fused_steps);
-  EXPECT_EQ(counter_value(body, "rt_fallback_steps_total"),
-            stats.merged.fallback_steps);
-  EXPECT_EQ(stats.merged.fused_steps + stats.merged.fallback_steps,
-            stats.merged.steps);
+  EXPECT_EQ(stats.merged.fused_steps, stats.merged.steps);
+  EXPECT_EQ(stats.merged.fallback_steps, 0U);
   EXPECT_EQ(counter_value(body, "rt_fused_batch_width_count"),
             stats.merged.fused_steps);
   EXPECT_EQ(stats.merged.fused_width.count(), stats.merged.fused_steps);
