@@ -15,9 +15,11 @@
 // real-time" composition of pruning and quantization the paper's title
 // claims.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -219,8 +221,9 @@ void run_throughput_section(std::size_t hidden, std::size_t threads,
 
 /// Kernel-level matvec vs matmat on one recurrent-scale matrix: how
 /// much streaming each weight block once for the whole batch
-/// (PackedQuantizedBspc::spmm, what step_batch runs above width 1) gains
-/// over once per stream (spmv), isolated from the rest of the step.
+/// (PackedQuantizedBspc::spmm_stripe_list over every stripe, what
+/// step_batch runs above width 1) gains over once per stream (spmv),
+/// isolated from the rest of the step.
 void run_matmat_section(std::size_t hidden, std::size_t frames,
                         std::size_t batch, double keep,
                         JsonReport& report) {
@@ -238,6 +241,8 @@ void run_matmat_section(std::size_t hidden, std::size_t frames,
   fill_normal(x.span(), rng, 1.0F);
   Matrix y(batch, hidden);
   const std::size_t iters = std::max<std::size_t>(frames, 8);
+  std::vector<std::uint32_t> stripes(bspc.num_stripes());
+  std::iota(stripes.begin(), stripes.end(), 0U);
 
   Table table({"precision", "spmv x batch us", "spmm us", "matmat gain"});
   for (const WeightPrecision precision :
@@ -252,8 +257,10 @@ void run_matmat_section(std::size_t hidden, std::size_t frames,
           }
         },
         iters, 2);
-    const double spmm_us =
-        time_best_of_us([&] { packed.spmm(x, y, batch); }, iters, 2);
+    std::vector<float> scratch(packed.spmm_scratch_floats(batch));
+    const double spmm_us = time_best_of_us(
+        [&] { packed.spmm_stripe_list(x, y, batch, stripes, scratch); },
+        iters, 2);
     table.add_row({to_string(precision), format_double(spmv_us, 1),
                    format_double(spmm_us, 1),
                    format_double(spmm_us > 0.0 ? spmv_us / spmm_us : 0.0,

@@ -101,8 +101,15 @@ std::size_t LayerPlan::lre_gather_floats() const {
 
 std::size_t LayerPlan::batch_gather_floats() const {
   if (options_.format != SparseFormat::kBspc) return 0;
-  if (packed()) return packed_bspc_.max_block_cols();
+  if (packed()) return packed_bspc_.spmm_scratch_floats(1);
   return options_.lre ? bspc_.max_block_cols() : 0;
+}
+
+std::size_t LayerPlan::batch_scratch_floats(std::size_t batch) const {
+  if (options_.format == SparseFormat::kBspc && packed()) {
+    return packed_bspc_.spmm_scratch_floats(batch);
+  }
+  return batch * batch_gather_floats();
 }
 
 std::size_t LayerPlan::q8_scratch_words(std::size_t batch) const {
@@ -282,13 +289,20 @@ void LayerPlan::execute_batch(const Matrix& x, Matrix& y, std::size_t batch,
     }
     case SparseFormat::kBspc: {
       RT_ASSERT(reorder_.has_value(), "BSPC plan lacks a reorder plan");
+      // The packed kernel assigns every row some stripe keeps, so only
+      // the pruned rows need zeroing; the fp32 kernel accumulates.
       for (std::size_t b = 0; b < batch; ++b) {
-        std::fill(y.row(b).begin(), y.row(b).end(), 0.0F);
+        const std::span<float> yb = y.row(b);
+        if (packed()) {
+          for (const std::uint32_t r : packed_bspc_.pruned_rows()) yb[r] = 0.0F;
+        } else {
+          std::fill(yb.begin(), yb.end(), 0.0F);
+        }
       }
       const ReorderPlan& ro = *reorder_;
       LreScratch local;
       LreScratch& gather = scratch != nullptr ? *scratch : local;
-      const std::size_t panel_floats = batch * batch_gather_floats();
+      const std::size_t panel_floats = batch_scratch_floats(batch);
       const std::size_t q8_words = q8_scratch_words(batch);
       const auto run_stripes = [&](std::span<const std::uint32_t> stripes,
                                    std::size_t partition) {

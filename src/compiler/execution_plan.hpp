@@ -136,11 +136,15 @@ class LayerPlan {
   /// when the plan has no LRE gather — dense, CSR, or lre disabled).
   [[nodiscard]] std::size_t lre_gather_floats() const;
 
-  /// Per-stream floats of gather scratch one partition of the *batched*
-  /// kernel needs (multiply by the batch width). Unlike
-  /// lre_gather_floats this is nonzero for packed BSPC even when
-  /// options.lre is off: the batched gather is itself the redundant
-  /// load elimination, so the packed spmm always uses it.
+  /// Per-stream floats of scratch one partition of the *batched* kernel
+  /// needs: the gather panel, plus for packed BSPC the stripe's
+  /// accumulator tile. Unlike lre_gather_floats this is nonzero for
+  /// packed BSPC even when options.lre is off: the batched gather is
+  /// itself the redundant load elimination, so the packed spmm always
+  /// uses it. Times the batch width it sizes every kernel except the
+  /// packed int8 stream-lane one, which pads the batch to 8-stream lanes
+  /// and widens a block of codes too (PackedQuantizedBspc::
+  /// spmm_scratch_floats); execute_batch sizes the scratch exactly.
   [[nodiscard]] std::size_t batch_gather_floats() const;
 
   /// int32 scratch words one partition of the q8 activation kernel
@@ -176,6 +180,10 @@ class LayerPlan {
   [[nodiscard]] bool packed() const {
     return options_.precision != WeightPrecision::kFp32;
   }
+
+  /// Floats of scratch one partition of execute_batch needs at `batch`
+  /// streams.
+  [[nodiscard]] std::size_t batch_scratch_floats(std::size_t batch) const;
 
   CompilerOptions options_;
   std::size_t rows_ = 0;

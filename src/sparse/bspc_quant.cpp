@@ -42,6 +42,11 @@ PackedQuantizedBspc PackedQuantizedBspc::pack(const BspcMatrix& source,
   }
   out.active_rows_.assign(source.active_rows().begin(),
                           source.active_rows().end());
+  std::vector<bool> active(out.rows_, false);
+  for (const std::uint32_t r : out.active_rows_) active[r] = true;
+  for (std::size_t r = 0; r < out.rows_; ++r) {
+    if (!active[r]) out.pruned_rows_.push_back(static_cast<std::uint32_t>(r));
+  }
   out.stripe_block_ptr_.assign(source.stripe_block_ptr().begin(),
                                source.stripe_block_ptr().end());
   out.blocks_.assign(source.blocks().begin(), source.blocks().end());
@@ -180,52 +185,73 @@ void PackedQuantizedBspc::spmv_stripe_list(
                    {gathered.data(), gathered.size()});
 }
 
-void PackedQuantizedBspc::spmm(const Matrix& x, Matrix& y,
-                               std::size_t batch) const {
-  RT_REQUIRE(batch > 0, "packed spmm: empty batch");
-  RT_REQUIRE(x.rows() >= batch && x.cols() == cols_,
-             "packed spmm: X shape mismatch");
-  RT_REQUIRE(y.rows() >= batch && y.cols() == rows_,
-             "packed spmm: Y shape mismatch");
-  for (std::size_t b = 0; b < batch; ++b) {
-    std::fill(y.row(b).begin(), y.row(b).end(), 0.0F);
-  }
-  const bool is_int8 = !q8_.empty();
-  // One gather of the whole batch's inputs per block: weights stream
-  // through each row exactly once for all right-hand sides.
-  std::vector<float> gathered(batch * max_block_cols_);
-  for (std::size_t s = 0; s < num_r_; ++s) {
-    const std::size_t row_lo = stripe_row_ptr_[s];
-    const std::size_t n_rows = stripe_row_ptr_[s + 1] - row_lo;
-    if (n_rows == 0) continue;
-    for (std::uint32_t bi = stripe_block_ptr_[s];
-         bi < stripe_block_ptr_[s + 1]; ++bi) {
-      const BspcMatrix::BlockRef& ref = blocks_[bi];
-      const std::uint32_t* cols = col_pool_.data() + ref.col_offset;
+bool PackedQuantizedBspc::stream_lanes(std::size_t batch) const {
+  return !q8_.empty() && batch >= kMinStreamLaneBatch;
+}
+
+std::size_t PackedQuantizedBspc::spmm_lanes(std::size_t batch) const {
+  return stream_lanes(batch) ? (batch + 7) & ~std::size_t{7} : batch;
+}
+
+std::size_t PackedQuantizedBspc::spmm_scratch_floats(
+    std::size_t batch) const {
+  // Panel and tile per lane, plus the stream-lane path's widened block.
+  const std::size_t widened =
+      stream_lanes(batch) ? max_stripe_rows_ * max_block_cols_ : 0;
+  return spmm_lanes(batch) * (max_block_cols_ + max_stripe_rows_) + widened;
+}
+
+template <bool kStreamLanes>
+void PackedQuantizedBspc::accumulate_stripe(const Matrix& x, std::size_t batch,
+                                            std::size_t lanes, std::size_t s,
+                                            float* panel, float* tile,
+                                            float* weights) const {
+  const std::size_t row_lo = stripe_row_ptr_[s];
+  const std::size_t n_rows = stripe_row_ptr_[s + 1] - row_lo;
+  std::fill(tile, tile + n_rows * lanes, 0.0F);
+  for (std::uint32_t bi = stripe_block_ptr_[s]; bi < stripe_block_ptr_[s + 1];
+       ++bi) {
+    const BspcMatrix::BlockRef& ref = blocks_[bi];
+    const std::uint32_t* cols = col_pool_.data() + ref.col_offset;
+    const std::size_t n = ref.col_count;
+    if constexpr (kStreamLanes) {
+      // k-major panel: panel[k * lanes + b], so one weight broadcast
+      // feeds 8 streams.
       for (std::size_t b = 0; b < batch; ++b) {
-        const std::span<const float> xb = x.row(b);
-        float* g = gathered.data() + b * ref.col_count;
-        for (std::uint32_t k = 0; k < ref.col_count; ++k) {
-          g[k] = xb[cols[k]];
-        }
+        const float* xb = x.row(b).data();
+        for (std::size_t k = 0; k < n; ++k) panel[k * lanes + b] = xb[cols[k]];
       }
+      widen_q8(q8_.data() + ref.value_offset, n_rows * n, weights);
       for (std::size_t i = 0; i < n_rows; ++i) {
-        const std::uint32_t r = active_rows_[row_lo + i];
-        if (is_int8) {
-          const std::int8_t* vrow =
-              q8_.data() + ref.value_offset + i * ref.col_count;
-          const float scale = row_scale_[r];
+        dot_q8_f32_lanes(weights + i * n, n, panel, lanes,
+                         row_scale_[active_rows_[row_lo + i]],
+                         tile + i * lanes);
+      }
+    } else {
+      // Stream-major panel: stream b's columns at panel + b * stride.
+      const std::size_t stride = max_block_cols_;
+      for (std::size_t b = 0; b < batch; ++b) {
+        const float* xb = x.row(b).data();
+        float* g = panel + b * stride;
+        for (std::size_t k = 0; k < n; ++k) g[k] = xb[cols[k]];
+      }
+      if (!q8_.empty()) {
+        const std::int8_t* block_values = q8_.data() + ref.value_offset;
+        for (std::size_t i = 0; i < n_rows; ++i) {
+          const std::int8_t* vrow = block_values + i * n;
+          const float scale = row_scale_[active_rows_[row_lo + i]];
+          float* t = tile + i * lanes;
           for (std::size_t b = 0; b < batch; ++b) {
-            const float* g = gathered.data() + b * ref.col_count;
-            const float acc = dot_q8_f32(vrow, g, ref.col_count);
-            y.row(b)[r] += acc * scale;
+            t[b] += dot_q8_f32(vrow, panel + b * stride, n) * scale;
           }
-        } else {
-          const std::uint16_t* vrow =
-              f16_.data() + ref.value_offset + i * ref.col_count;
+        }
+      } else {
+        const std::uint16_t* block_values = f16_.data() + ref.value_offset;
+        for (std::size_t i = 0; i < n_rows; ++i) {
+          const std::uint16_t* vrow = block_values + i * n;
+          float* t = tile + i * lanes;
           for (std::size_t b = 0; b < batch; ++b) {
-            const float* g = gathered.data() + b * ref.col_count;
-            y.row(b)[r] += dot_f16_f32(vrow, g, ref.col_count);
+            t[b] += dot_f16_f32(vrow, panel + b * stride, n);
           }
         }
       }
@@ -240,46 +266,37 @@ void PackedQuantizedBspc::spmm_stripe_list(
              "packed spmm: panel shape mismatch");
   RT_REQUIRE(batch <= x.rows() && batch <= y.rows(),
              "packed spmm: batch exceeds panel");
-  RT_REQUIRE(gather.size() >= batch * max_block_cols_,
-             "packed spmm: gather scratch smaller than batch panel");
-  const bool is_int8 = !q8_.empty();
+  RT_REQUIRE(gather.size() >= spmm_scratch_floats(batch),
+             "packed spmm: scratch smaller than spmm_scratch_floats");
+  const std::size_t lanes = spmm_lanes(batch);
+  // The stripe's partial sums collect in tile[i * lanes + b], which stays
+  // in L1, instead of read-modify-writing rows of Y a whole row apart.
+  float* panel = gather.data();
+  float* tile = panel + lanes * max_block_cols_;
+  float* weights = tile + lanes * max_stripe_rows_;
+  if (lanes > batch) {
+    // Pad lanes are never gathered into; zero them once so the padded
+    // FMAs stay on finite values.
+    for (std::size_t k = 0; k < max_block_cols_; ++k) {
+      std::fill(panel + k * lanes + batch, panel + (k + 1) * lanes, 0.0F);
+    }
+  }
   for (const std::uint32_t s : stripes) {
     RT_REQUIRE(s < num_r_, "packed spmm: stripe index out of range");
     const std::size_t row_lo = stripe_row_ptr_[s];
     const std::size_t n_rows = stripe_row_ptr_[s + 1] - row_lo;
     if (n_rows == 0) continue;
-    for (std::uint32_t bi = stripe_block_ptr_[s];
-         bi < stripe_block_ptr_[s + 1]; ++bi) {
-      const BspcMatrix::BlockRef& ref = blocks_[bi];
-      const std::uint32_t* cols = col_pool_.data() + ref.col_offset;
-      for (std::size_t b = 0; b < batch; ++b) {
-        const float* xb = x.row(b).data();
-        float* g = gather.data() + b * max_block_cols_;
-        for (std::uint32_t k = 0; k < ref.col_count; ++k) {
-          g[k] = xb[cols[k]];
-        }
-      }
-      if (is_int8) {
-        const std::int8_t* block_values = q8_.data() + ref.value_offset;
-        for (std::size_t i = 0; i < n_rows; ++i) {
-          const std::int8_t* vrow = block_values + i * ref.col_count;
-          const std::uint32_t r = active_rows_[row_lo + i];
-          const float scale = row_scale_[r];
-          for (std::size_t b = 0; b < batch; ++b) {
-            const float* g = gather.data() + b * max_block_cols_;
-            y.row(b)[r] += dot_q8_f32(vrow, g, ref.col_count) * scale;
-          }
-        }
-      } else {
-        const std::uint16_t* block_values = f16_.data() + ref.value_offset;
-        for (std::size_t i = 0; i < n_rows; ++i) {
-          const std::uint16_t* vrow = block_values + i * ref.col_count;
-          const std::uint32_t r = active_rows_[row_lo + i];
-          for (std::size_t b = 0; b < batch; ++b) {
-            const float* g = gather.data() + b * max_block_cols_;
-            y.row(b)[r] += dot_f16_f32(vrow, g, ref.col_count);
-          }
-        }
+    if (stream_lanes(batch)) {
+      accumulate_stripe<true>(x, batch, lanes, s, panel, tile, weights);
+    } else {
+      accumulate_stripe<false>(x, batch, lanes, s, panel, tile, weights);
+    }
+    // One write per (row, stream), stream outer so each output row is
+    // written in ascending column order.
+    for (std::size_t b = 0; b < batch; ++b) {
+      float* yb = y.row(b).data();
+      for (std::size_t i = 0; i < n_rows; ++i) {
+        yb[active_rows_[row_lo + i]] = tile[i * lanes + b];
       }
     }
   }
@@ -337,7 +354,7 @@ void PackedQuantizedBspc::spmm_stripe_list_q8(
       const float xs = x.scale[b];
       for (std::size_t i = 0; i < n_rows; ++i) {
         const std::uint32_t r = active_rows_[row_lo + i];
-        yb[r] += static_cast<float>(acc[i * bp + b]) * row_scale_[r] * xs;
+        yb[r] = static_cast<float>(acc[i * bp + b]) * row_scale_[r] * xs;
       }
     }
   }

@@ -68,28 +68,44 @@ class PackedQuantizedBspc {
     return max_block_cols_;
   }
 
-  /// Batched right-hand sides: row b of X (b < batch) is an independent
-  /// input vector and row b of Y receives A X[b]. Weights are streamed
-  /// once per block for the whole batch instead of once per vector;
-  /// each row's result is bit-identical to spmv on that row (same
-  /// per-row accumulation order). Y rows [0, batch) are zeroed first.
-  /// The fused step_batch path uses the stripe-list forms below (this
-  /// whole-matrix form is the single-threaded convenience);
-  /// bench_fused quantifies the matmat-vs-matvec gap.
-  void spmm(const Matrix& x, Matrix& y, std::size_t batch) const;
-
   /// Batched stripe-list form (the fused step's kernel): row b of X
-  /// (b < batch) is an independent fp32 input vector and row b of Y
-  /// accumulates (A X[b]) for the listed stripes (caller zeroes the
-  /// rows). Weights stream once per block per batch; per-(row, stream)
-  /// dots go through the same dot_q8_f32 / dot_f16_f32 helpers as
-  /// spmv_stripe_list, so each stream's result is bit-identical to the
-  /// per-vector path. `gather` needs batch * max_block_cols() floats
-  /// (stream b's panel at offset b * max_block_cols()). LRE is implied:
+  /// (b < batch) is an independent fp32 input vector, and for the active
+  /// rows r of the listed stripes row b of Y receives (A X[b])[r]. Each
+  /// stripe's partial sums collect in an L1 tile that is written to Y
+  /// once (an assignment), so Y entries outside those rows, and rows of
+  /// Y past `batch`, are left as they were; the caller zeroes the rest
+  /// (pruned_rows() when the lists cover every stripe).
+  /// Weights stream once per block per batch. From kMinStreamLaneBatch
+  /// streams up the int8 kernel runs stream lanes (dot_q8_f32_lanes):
+  /// the batch is padded to 8-stream lanes, each weight is broadcast
+  /// across 8 streams, and per stream the float operations are exactly
+  /// dot_q8_f32's — the same FMAs into the same 8 lanes, the same tail,
+  /// the same pairwise tree — followed by the same `+= dot * scale` per
+  /// block. Narrower int8 batches and fp16 run per-stream dot_q8_f32 /
+  /// dot_f16_f32 into the tile. Either way each stream's result is
+  /// bit-identical to spmv_stripe_list on its own row, and so to
+  /// LayerPlan::execute. `gather` needs spmm_scratch_floats(batch)
+  /// floats (concurrent calls need disjoint buffers). LRE is implied:
   /// the batched gather is the redundant-load elimination.
   void spmm_stripe_list(const Matrix& x, Matrix& y, std::size_t batch,
                         std::span<const std::uint32_t> stripes,
                         std::span<float> gather) const;
+
+  /// Rows that no stripe keeps (pruned by BSP step 2), ascending:
+  /// exactly the rows spmm_stripe_list over every stripe does not write.
+  [[nodiscard]] std::span<const std::uint32_t> pruned_rows() const {
+    return pruned_rows_;
+  }
+
+  /// Narrowest batch the int8 spmm_stripe_list runs as stream lanes.
+  /// Below it, padding to 8 lanes costs more than the per-stream
+  /// horizontal reductions it saves.
+  static constexpr std::size_t kMinStreamLaneBatch = 4;
+
+  /// Float scratch spmm_stripe_list needs at `batch`: a panel of
+  /// max_block_cols() and a tile of the widest stripe's rows per lane,
+  /// plus on the stream-lane path the widest block's codes as floats.
+  [[nodiscard]] std::size_t spmm_scratch_floats(std::size_t batch) const;
 
   /// Batched stripe-list form over int8-quantized activations (int8
   /// weight storage only) — the fused step's throughput kernel. Codes
@@ -98,7 +114,8 @@ class PackedQuantizedBspc {
   /// panel, every weight code pair is broadcast and madd'ed across the
   /// whole batch (no per-stream horizontal reductions), and partial
   /// sums ride per-stripe int32 accumulators dequantized once per
-  /// (row, stream) as i32 * row_scale[r] * x.scale[b]. Per-stream sums
+  /// (row, stream) as i32 * row_scale[r] * x.scale[b] and assigned to
+  /// Y, with spmm_stripe_list's write contract. Per-stream sums
   /// equal dot_q8_q8_i32 exactly (integer associativity), so the result
   /// is within the activation grid's rounding slack of
   /// spmm_stripe_list, not bitwise. `scratch` needs
@@ -125,6 +142,21 @@ class PackedQuantizedBspc {
   [[nodiscard]] std::size_t memory_bytes(std::size_t index_bytes = 4) const;
 
  private:
+  /// True when spmm_stripe_list runs `batch` streams as stream lanes.
+  [[nodiscard]] bool stream_lanes(std::size_t batch) const;
+  /// Stream lanes spmm_stripe_list uses at `batch`: the batch rounded up
+  /// to a multiple of 8 on the int8 stream-lane path, `batch` otherwise.
+  [[nodiscard]] std::size_t spmm_lanes(std::size_t batch) const;
+
+  /// Zeroes stripe s's tile ([active rows] x lanes) and accumulates
+  /// A X[b] into it for b < batch, block by block. The stream-lane form
+  /// gathers a k-major panel and widens each block's codes into
+  /// `weights` first; the other gathers a stream-major panel.
+  template <bool kStreamLanes>
+  void accumulate_stripe(const Matrix& x, std::size_t batch,
+                         std::size_t lanes, std::size_t s, float* panel,
+                         float* tile, float* weights) const;
+
   template <bool kUseLre>
   void process_stripe(std::span<const float> x, std::span<float> y,
                       std::size_t s, std::span<float> gathered) const;
@@ -138,13 +170,15 @@ class PackedQuantizedBspc {
   std::size_t num_r_ = 0;
   std::size_t num_c_ = 0;
   std::size_t max_block_cols_ = 0;
-  /// Widest stripe's active-row count (sizes the q8 kernel's per-stripe
-  /// int32 accumulator block).
+  /// Widest stripe's active-row count (sizes the batched kernels'
+  /// per-stripe accumulator tiles).
   std::size_t max_stripe_rows_ = 0;
   std::size_t nnz_ = 0;
   // Structural metadata, copied verbatim from the source BspcMatrix.
   std::vector<std::uint32_t> stripe_row_ptr_;
   std::vector<std::uint32_t> active_rows_;
+  /// Complement of active_rows_, derived at pack time.
+  std::vector<std::uint32_t> pruned_rows_;
   std::vector<std::uint32_t> stripe_block_ptr_;
   std::vector<BspcMatrix::BlockRef> blocks_;
   std::vector<std::uint32_t> col_pool_;

@@ -7,14 +7,21 @@
 // the grid's rounding slack, so it commits to a fixed 8-lane summation
 // tree instead — lane j accumulates elements k+j — which maps exactly
 // onto one AVX2 register (sign-extend 8 codes, convert, FMA). Every
-// int8 caller (spmv LRE and no-LRE, spmm, dense gemv) goes through
-// these helpers, so all of them share one summation tree and remain
-// bit-identical to each other within a build.
+// int8 caller (spmv LRE and no-LRE, the batched stripe-list kernel,
+// dense gemv) goes through these helpers, so all of them share one
+// summation tree and remain bit-identical to each other within a build.
+// The tree has two layouts: dot_q8_f32 holds one stream's 8 lanes in a
+// register, and the stream-lane form dot_q8_f32_lanes holds lane j of 8
+// streams in register j (weights broadcast, activations stream-
+// contiguous). Per stream both perform the same FMAs into the same
+// lanes, the same unfused tail and the same pairwise reduction.
 //
 // CMake compiles only the two TUs including this header with
 // -mavx2 -mfma (when the configuring host supports them) and
 // -ffp-contract=off, so the neighboring fp16 loops cannot be
-// FMA-contracted away from the simulation's arithmetic. Do not include
+// FMA-contracted away from the simulation's arithmetic (nor the unfused
+// tail and scale steps of the stream-lane kernel from dot_q8_f32's
+// scalar ones — GCC contracts intrinsic mul + add too). Do not include
 // this header from other translation units: the AVX2/fallback split is
 // per-TU and would otherwise violate the one-definition rule.
 #pragma once
@@ -121,6 +128,78 @@ inline float dot_q8_f32_indexed(const std::int8_t* q, const float* x,
   float tail = 0.0F;
   for (; k < n; ++k) tail += static_cast<float>(q[k]) * x[idx[k]];
   return quant_detail::reduce_lanes(acc) + tail;
+}
+
+/// out[k] = q[k] as float (exact): a block's codes, widened once so the
+/// stream-lane kernel broadcasts weights straight from L1.
+inline void widen_q8(const std::int8_t* q, std::size_t n, float* out) {
+  std::size_t k = 0;
+  for (; k + 8 <= n; k += 8) {
+    const __m128i bytes =
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(q + k));
+    _mm256_storeu_ps(out + k,
+                     _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(bytes)));
+  }
+  for (; k < n; ++k) out[k] = static_cast<float>(q[k]);
+}
+
+/// Stream-lane form of dot_q8_f32 over a k-major activation panel:
+/// tile[b] += dot_q8_f32(q, column b, n) * scale for b in [0, lanes),
+/// where `w` holds q widened by widen_q8, column b is
+/// panel[k * lanes + b], and lanes is a multiple of 8. Each weight is
+/// broadcast and FMA'd across 8 streams; register j holds lane j
+/// (elements k = j mod 8) of those streams, so each stream sees
+/// dot_q8_f32's exact arithmetic and order — hence the same bits — with
+/// no per-stream horizontal reduction.
+inline void dot_q8_f32_lanes(const float* w, std::size_t n,
+                             const float* panel, std::size_t lanes,
+                             float scale, float* tile) {
+  const std::size_t n8 = n & ~std::size_t{7};
+  const __m256 vscale = _mm256_set1_ps(scale);
+  for (std::size_t g = 0; g < lanes; g += 8) {
+    const float* p = panel + g;
+    __m256 a0 = _mm256_setzero_ps();
+    __m256 a1 = a0, a2 = a0, a3 = a0, a4 = a0, a5 = a0, a6 = a0, a7 = a0;
+    std::size_t k = 0;
+    for (; k < n8; k += 8) {
+      const float* pk = p + k * lanes;
+      const float* wk = w + k;
+      a0 = _mm256_fmadd_ps(_mm256_broadcast_ss(wk + 0),
+                           _mm256_loadu_ps(pk), a0);
+      a1 = _mm256_fmadd_ps(_mm256_broadcast_ss(wk + 1),
+                           _mm256_loadu_ps(pk + lanes), a1);
+      a2 = _mm256_fmadd_ps(_mm256_broadcast_ss(wk + 2),
+                           _mm256_loadu_ps(pk + 2 * lanes), a2);
+      a3 = _mm256_fmadd_ps(_mm256_broadcast_ss(wk + 3),
+                           _mm256_loadu_ps(pk + 3 * lanes), a3);
+      a4 = _mm256_fmadd_ps(_mm256_broadcast_ss(wk + 4),
+                           _mm256_loadu_ps(pk + 4 * lanes), a4);
+      a5 = _mm256_fmadd_ps(_mm256_broadcast_ss(wk + 5),
+                           _mm256_loadu_ps(pk + 5 * lanes), a5);
+      a6 = _mm256_fmadd_ps(_mm256_broadcast_ss(wk + 6),
+                           _mm256_loadu_ps(pk + 6 * lanes), a6);
+      a7 = _mm256_fmadd_ps(_mm256_broadcast_ss(wk + 7),
+                           _mm256_loadu_ps(pk + 7 * lanes), a7);
+    }
+    __m256 tail = _mm256_setzero_ps();
+    for (; k < n; ++k) {
+      tail = _mm256_add_ps(tail, _mm256_mul_ps(_mm256_broadcast_ss(w + k),
+                                               _mm256_loadu_ps(p + k * lanes)));
+    }
+    // reduce_lanes' tree, one lane per register. With no full group
+    // every lane is +0, so the tree is +0 and is not spelled out.
+    const __m256 tree =
+        n8 == 0 ? _mm256_setzero_ps()
+                : _mm256_add_ps(
+                      _mm256_add_ps(_mm256_add_ps(a0, a1),
+                                    _mm256_add_ps(a2, a3)),
+                      _mm256_add_ps(_mm256_add_ps(a4, a5),
+                                    _mm256_add_ps(a6, a7)));
+    const __m256 sum = _mm256_add_ps(tree, tail);
+    _mm256_storeu_ps(tile + g,
+                     _mm256_add_ps(_mm256_loadu_ps(tile + g),
+                                   _mm256_mul_ps(sum, vscale)));
+  }
 }
 
 /// sum_k q[k] * a[k] in int32 — the fused path's int8-weight x
@@ -274,8 +353,10 @@ inline void interleave_q8_pairs(const std::int8_t* c0, const std::int8_t* c1,
 
 namespace quant_detail {
 
-template <typename LoadX>
-inline float dot_lanes(const std::int8_t* q, std::size_t n, LoadX load) {
+/// `q` is int8 codes, or codes already widened to float (exact either
+/// way, so the products are the same).
+template <typename Code, typename LoadX>
+inline float dot_lanes(const Code* q, std::size_t n, LoadX load) {
   float lane[8] = {0.0F, 0.0F, 0.0F, 0.0F, 0.0F, 0.0F, 0.0F, 0.0F};
   std::size_t k = 0;
   for (; k + 8 <= n; k += 8) {
@@ -305,6 +386,25 @@ inline float dot_q8_f32_indexed(const std::int8_t* q, const float* x,
                                 const std::uint32_t* idx, std::size_t n) {
   return quant_detail::dot_lanes(
       q, n, [x, idx](std::size_t k) { return x[idx[k]]; });
+}
+
+inline void widen_q8(const std::int8_t* q, std::size_t n, float* out) {
+  for (std::size_t k = 0; k < n; ++k) out[k] = static_cast<float>(q[k]);
+}
+
+/// Scalar form of the stream-lane kernel: dot_lanes per stream, so each
+/// stream gets this build's dot_q8_f32 arithmetic exactly.
+inline void dot_q8_f32_lanes(const float* w, std::size_t n,
+                             const float* panel, std::size_t lanes,
+                             float scale, float* tile) {
+  for (std::size_t b = 0; b < lanes; ++b) {
+    const float* column = panel + b;
+    tile[b] += quant_detail::dot_lanes(w, n,
+                                       [column, lanes](std::size_t k) {
+                                         return column[k * lanes];
+                                       }) *
+               scale;
+  }
 }
 
 /// Exact int32 accumulation — bit-identical to the AVX2 build by

@@ -8,11 +8,13 @@
 // fp32 mode stays bit-identical to the unquantized kernels.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -161,26 +163,213 @@ TEST(PackedBspc, NoLreAndStripeListMatchLre) {
   EXPECT_EQ(with_lre, no_lre);  // same values, same order -> bitwise
 }
 
+std::vector<std::uint32_t> all_stripes(std::size_t n) {
+  std::vector<std::uint32_t> stripes(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    stripes[s] = static_cast<std::uint32_t>(s);
+  }
+  return stripes;
+}
+
+/// Bit patterns of a float span: EXPECT_EQ on these is bitwise (it
+/// separates -0 from +0, which float == does not).
+std::vector<std::uint32_t> bits(std::span<const float> v) {
+  std::vector<std::uint32_t> out(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    out[i] = std::bit_cast<std::uint32_t>(v[i]);
+  }
+  return out;
+}
+
 TEST(PackedBspc, SpmmBitIdenticalToPerVectorSpmv) {
   const BspcCase c = make_bspc_case(32, 44, 28);
   for (const WeightPrecision precision :
        {WeightPrecision::kFp16, WeightPrecision::kInt8PerRow}) {
     const PackedQuantizedBspc packed =
         PackedQuantizedBspc::pack(c.bspc, precision);
-    constexpr std::size_t kBatch = 3;
-    Matrix x(kBatch + 1, 44);  // extra trailing row: grow-only buffers
-    Rng rng(29);
-    fill_normal(x.span(), rng, 1.0F);
-    Matrix y(kBatch + 1, 32);
-    packed.spmm(x, y, kBatch);
-    for (std::size_t b = 0; b < kBatch; ++b) {
-      Vector expected(32);
-      packed.spmv(x.row(b), expected.span());
-      EXPECT_EQ(std::vector<float>(expected.begin(), expected.end()),
-                std::vector<float>(y.row(b).begin(), y.row(b).end()))
-          << to_string(precision) << " rhs " << b;
+    const std::vector<std::uint32_t> stripes =
+        all_stripes(packed.num_stripes());
+    for (const std::size_t batch : {3U, 9U}) {
+      Matrix x(batch + 1, 44);  // extra trailing row: grow-only buffers
+      Rng rng(29);
+      fill_normal(x.span(), rng, 1.0F);
+      Matrix y(batch + 1, 32);
+      std::vector<float> scratch(packed.spmm_scratch_floats(batch));
+      packed.spmm_stripe_list(x, y, batch, stripes, scratch);
+      for (std::size_t b = 0; b < batch; ++b) {
+        Vector expected(32);
+        packed.spmv(x.row(b), expected.span());
+        EXPECT_EQ(bits(expected.span()), bits(y.row(b)))
+            << to_string(precision) << " batch " << batch << " rhs " << b;
+      }
     }
   }
+}
+
+// ------------------------------- batched int8 kernel: bitwise parity grid
+//
+// spmm_stripe_list switches between per-stream dots (narrow batches) and
+// stream lanes (8-stream padded panels) by batch width, and the stream-
+// lane microkernel has distinct paths for full 8-column groups and the
+// tail. Every stream must equal the per-vector kernel bit for bit across
+// all of them.
+
+constexpr std::size_t kGridRows = 40;
+constexpr std::size_t kGridStripes = 3;   // 13/13/14 rows
+constexpr std::size_t kGridBlocks = 4;
+constexpr std::size_t kGridBlockCols = 30;
+
+/// Mask over kGridRows x (kGridBlocks * kGridBlockCols) whose (stripe s,
+/// block b) keeps exactly widths[(s + b) % widths.size()] columns.
+BlockMask fixed_width_mask(const std::vector<std::size_t>& widths) {
+  BlockMask mask(kGridRows, kGridBlocks * kGridBlockCols, kGridStripes,
+                 kGridBlocks);
+  for (std::size_t s = 0; s < kGridStripes; ++s) {
+    for (std::size_t b = 0; b < kGridBlocks; ++b) {
+      const std::size_t width = widths[(s + b) % widths.size()];
+      const std::size_t step = kGridBlockCols / width;
+      std::vector<std::uint32_t> cols(width);
+      for (std::size_t j = 0; j < width; ++j) {
+        cols[j] = static_cast<std::uint32_t>(mask.col_begin(b) + s + j * step);
+      }
+      mask.set_block_cols(s, b, std::move(cols));
+    }
+  }
+  return mask;
+}
+
+struct GridCase {
+  std::string name;
+  Matrix masked;
+  BlockMask mask;
+};
+
+/// Block widths 1 (tail only), 7, 8 (exactly one group), 9 (group +
+/// tail), 26 (the benchmark model's width), and all of them mixed in one
+/// row-pruned matrix.
+std::vector<GridCase> grid_cases() {
+  std::vector<GridCase> cases;
+  const std::vector<std::vector<std::size_t>> widths = {
+      {1}, {7}, {8}, {9}, {26}, {1, 7, 8, 9, 26}};
+  std::uint64_t seed = 50;
+  for (const std::vector<std::size_t>& w : widths) {
+    Matrix weights =
+        random_matrix(kGridRows, kGridBlocks * kGridBlockCols, ++seed);
+    BlockMask mask = fixed_width_mask(w);
+    std::string name = "cols=" + std::to_string(w[0]);
+    if (w.size() > 1) {
+      apply_row_pruning(weights, 0.8, mask);
+      name = "mixed cols, row-pruned";
+    }
+    mask.apply(weights);
+    cases.push_back({name, std::move(weights), std::move(mask)});
+  }
+  return cases;
+}
+
+constexpr std::size_t kGridWidths[] = {1,  2,  3,  4,  5,  7,  8,
+                                       9, 15, 16, 17, 33, 70};
+
+TEST(PackedBspcGrid, StripeListKernelBitIdenticalPerStream) {
+  for (const GridCase& c : grid_cases()) {
+    const BspcMatrix bspc = BspcMatrix::from_dense(c.masked, c.mask);
+    for (const WeightPrecision precision :
+         {WeightPrecision::kInt8PerRow, WeightPrecision::kInt8PerTensor}) {
+      const PackedQuantizedBspc packed =
+          PackedQuantizedBspc::pack(bspc, precision);
+      const std::vector<std::uint32_t> stripes =
+          all_stripes(packed.num_stripes());
+      for (const std::size_t width : kGridWidths) {
+        Matrix x(width, packed.cols());
+        Rng rng(width);
+        fill_normal(x.span(), rng, 1.0F);
+        // The kernel assigns the stripes' active rows and leaves every
+        // other entry of Y as it was.
+        constexpr float kSentinel = 7.0F;
+        Matrix y(width, packed.rows(), kSentinel);
+        std::vector<float> scratch(packed.spmm_scratch_floats(width));
+        packed.spmm_stripe_list(x, y, width, stripes, scratch);
+        for (std::size_t b = 0; b < width; ++b) {
+          std::vector<float> expected(packed.rows(), 0.0F);
+          packed.spmv_stripe_list(x.row(b), expected, stripes);
+          for (std::size_t r = 0; r < packed.rows(); ++r) {
+            if (!c.mask.row_kept(r)) expected[r] = kSentinel;
+          }
+          ASSERT_EQ(bits(expected), bits(y.row(b)))
+              << c.name << " " << to_string(precision) << " width "
+              << width << " stream " << b;
+        }
+      }
+    }
+  }
+}
+
+/// execute_batch on a compiled plan vs execute per stream, with Y rows
+/// pre-filled by a sentinel: pruned rows must come out exactly 0 and
+/// rows past the batch must keep the sentinel.
+void expect_plan_parity(const LayerPlan& plan, ThreadPool* pool,
+                        const std::string& label) {
+  constexpr float kSentinel = 7.0F;
+  const Matrix dense = plan.to_dense();
+  std::vector<std::size_t> pruned_rows;
+  for (std::size_t r = 0; r < plan.rows(); ++r) {
+    const std::span<const float> row = dense.row(r);
+    if (std::all_of(row.begin(), row.end(), [](float v) { return v == 0; })) {
+      pruned_rows.push_back(r);
+    }
+  }
+  ASSERT_FALSE(pruned_rows.empty());
+  for (const std::size_t width : kGridWidths) {
+    Matrix x(width + 2, plan.cols());
+    Rng rng(100 + width);
+    fill_normal(x.span(), rng, 1.0F);
+    Matrix y(width + 2, plan.rows(), kSentinel);
+    LreScratch scratch;
+    plan.execute_batch(x, y, width, pool, &scratch);
+    for (std::size_t b = 0; b < width; ++b) {
+      std::vector<float> expected(plan.rows());
+      plan.execute(x.row(b), expected);
+      ASSERT_EQ(bits(expected), bits(y.row(b)))
+          << label << " width " << width << " stream " << b;
+      for (const std::size_t r : pruned_rows) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(y(b, r)), 0U)
+            << label << " pruned row " << r << " width " << width;
+      }
+    }
+    for (std::size_t b = width; b < width + 2; ++b) {
+      for (const float v : y.row(b)) {
+        ASSERT_EQ(v, kSentinel) << label << " trailing row touched";
+      }
+    }
+  }
+}
+
+TEST(PackedBspcGrid, LayerPlanExecuteBatchBitIdenticalToExecute) {
+  const std::vector<GridCase> cases = grid_cases();
+  const GridCase& pruned = cases.back();
+  for (const WeightPrecision precision :
+       {WeightPrecision::kInt8PerRow, WeightPrecision::kInt8PerTensor}) {
+    CompilerOptions options;
+    options.format = SparseFormat::kBspc;
+    options.precision = precision;
+    expect_plan_parity(LayerPlan::compile(pruned.masked, &pruned.mask,
+                                          options),
+                       nullptr, to_string(precision));
+  }
+}
+
+TEST(PackedBspcGrid, ThreadedPlanBitIdenticalToExecute) {
+  const std::vector<GridCase> cases = grid_cases();
+  const GridCase& pruned = cases.back();
+  CompilerOptions options;
+  options.format = SparseFormat::kBspc;
+  options.precision = WeightPrecision::kInt8PerRow;
+  options.threads = 4;
+  options.min_nnz_for_threading = 0;  // force the threaded path
+  const LayerPlan plan =
+      LayerPlan::compile(pruned.masked, &pruned.mask, options);
+  ThreadPool pool(4);
+  expect_plan_parity(plan, &pool, "threads=4");
 }
 
 // ------------------------------------------------- packed dense kernels
