@@ -5,14 +5,19 @@
 // over batch width x precision x sparsity on the paper's full-size GRU
 // (153 -> 1024 -> 1024 -> 39).
 //
-// Both sides of every cell run the same compiled model. Per cell:
-// steady-state aggregate frames/s and the fused/baseline speedup. The
-// int8-weight cells are where the batched step amortizes each weight
-// matrix's traffic across the whole batch: int8 (fp32 activations)
-// broadcasts each weight across 8 streams of float activations and
-// stays bit-identical to the per-vector kernel; int8+act8 additionally
-// runs code-by-code integer dot products.
+// Both sides of every cell run the same compiled model. Each cell is
+// timed as kReps (5) baseline/fused pairs, alternating which side runs
+// first; the table shows the median steady-state aggregate frames/s of
+// each side and the median fused/baseline speedup with its p10/p90 over
+// the pairs (a width-1 cell runs identical code on both sides, so its
+// spread is the bench's own noise floor). The int8-weight cells are
+// where the batched step amortizes each weight matrix's traffic across
+// the whole batch: int8 (fp32 activations) broadcasts each weight across
+// 8 streams of float activations and stays bit-identical to the
+// per-vector kernel; int8+act8 additionally runs code-by-code integer
+// dot products.
 // The sweep is emitted as fused.json (a CI artifact).
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -112,6 +117,44 @@ double measure(const CompiledSpeechModel& m, std::size_t width,
              : 0.0;
 }
 
+/// Linear-interpolated quantile `q` of `values`.
+double quantile(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  const double pos = q * static_cast<double>(values.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, values.size() - 1);
+  return values[lo] + (pos - static_cast<double>(lo)) *
+                          (values[hi] - values[lo]);
+}
+
+/// Timed baseline/fused pairs per cell.
+constexpr std::size_t kReps = 5;
+
+struct CellResult {
+  double base = 0.0;     // median baseline frames/s
+  double fast = 0.0;     // median fused frames/s
+  double speedup = 0.0;  // median of the per-pair fused/baseline ratios
+  double speedup_p10 = 0.0;
+  double speedup_p90 = 0.0;
+};
+
+/// kReps timed baseline/fused pairs of one cell, alternating which side
+/// runs first so a drifting host biases neither.
+CellResult measure_cell(const CompiledSpeechModel& m, std::size_t width,
+                        std::size_t rounds) {
+  std::vector<double> base, fast, speedup;
+  for (std::size_t r = 0; r < kReps; ++r) {
+    const bool base_first = r % 2 == 0;
+    const double first = measure(m, width, rounds, base_first);
+    const double second = measure(m, width, rounds, !base_first);
+    base.push_back(base_first ? first : second);
+    fast.push_back(base_first ? second : first);
+    speedup.push_back(base.back() > 0.0 ? fast.back() / base.back() : 0.0);
+  }
+  return {quantile(base, 0.5), quantile(fast, 0.5), quantile(speedup, 0.5),
+          quantile(speedup, 0.1), quantile(speedup, 0.9)};
+}
+
 }  // namespace
 }  // namespace rtmobile
 
@@ -162,18 +205,28 @@ int main(int argc, char** argv) {
 
   JsonReport report;
   Table table({"precision", "width", "baseline fr/s", "fused fr/s",
-               "speedup"});
+               "speedup", "p10-p90"});
+  const auto spread = [](const CellResult& cell) {
+    return format_double(cell.speedup_p10, 2) + "-" +
+           format_double(cell.speedup_p90, 2);
+  };
+  const auto set_cell = [&](JsonRecord& record, const CellResult& cell) {
+    record.set("reps", static_cast<std::int64_t>(kReps));
+    record.set("baseline_frames_per_sec", cell.base);
+    record.set("fused_frames_per_sec", cell.fast);
+    record.set("speedup", cell.speedup);
+    record.set("speedup_p10", cell.speedup_p10);
+    record.set("speedup_p90", cell.speedup_p90);
+  };
   const BenchSetup setup = build_model(config, keep);
   for (const PrecisionCase& precision : precisions) {
     const auto model = compile(setup, precision, pool.get());
     for (const std::size_t width : widths) {
       const std::size_t rounds = std::max<std::size_t>(12, frames / width);
-      const double base = measure(*model, width, rounds, true);
-      const double fast = measure(*model, width, rounds, false);
-      const double speedup = base > 0.0 ? fast / base : 0.0;
+      const CellResult cell = measure_cell(*model, width, rounds);
       table.add_row({precision.name, std::to_string(width),
-                     format_double(base, 0), format_double(fast, 0),
-                     format_double(speedup, 2)});
+                     format_double(cell.base, 0), format_double(cell.fast, 0),
+                     format_double(cell.speedup, 2), spread(cell)});
 
       JsonRecord record;
       record.set("section", "width_sweep");
@@ -184,9 +237,7 @@ int main(int argc, char** argv) {
       record.set("threads", static_cast<std::int64_t>(threads));
       record.set("hidden", static_cast<std::int64_t>(config.hidden_dim));
       record.set("rounds", static_cast<std::int64_t>(rounds));
-      record.set("baseline_frames_per_sec", base);
-      record.set("fused_frames_per_sec", fast);
-      record.set("speedup", speedup);
+      set_cell(record, cell);
       report.add(std::move(record));
     }
   }
@@ -203,13 +254,12 @@ int main(int argc, char** argv) {
       for (const PrecisionCase& precision :
            {precisions[1], precisions[2]}) {
         const auto model = compile(sparse, precision, pool.get());
-        const double base = measure(*model, width, rounds, true);
-        const double fast = measure(*model, width, rounds, false);
-        const double speedup = base > 0.0 ? fast / base : 0.0;
+        const CellResult cell = measure_cell(*model, width, rounds);
         table.add_row({std::string(precision.name) + " keep=" +
                            format_double(sweep_keep, 2),
-                       std::to_string(width), format_double(base, 0),
-                       format_double(fast, 0), format_double(speedup, 2)});
+                       std::to_string(width), format_double(cell.base, 0),
+                       format_double(cell.fast, 0),
+                       format_double(cell.speedup, 2), spread(cell)});
 
         JsonRecord record;
         record.set("section", "sparsity_sweep");
@@ -218,9 +268,7 @@ int main(int argc, char** argv) {
         record.set("width", static_cast<std::int64_t>(width));
         record.set("keep", sweep_keep);
         record.set("threads", static_cast<std::int64_t>(threads));
-        record.set("baseline_frames_per_sec", base);
-        record.set("fused_frames_per_sec", fast);
-        record.set("speedup", speedup);
+        set_cell(record, cell);
         report.add(std::move(record));
       }
     }
@@ -231,9 +279,12 @@ int main(int argc, char** argv) {
       "baseline = one width-1 step_batch call per stream (per-vector "
       "kernels, each weight matrix streamed once per stream); fused = "
       "one step_batch call over the whole batch (each weight matrix "
-      "driven once per layer per round). fp32 rows are bit-identical by "
-      "construction (tests/test_fused.cpp); int8+act8 additionally "
-      "quantizes the activation panels to int8 codes above width 1.\n");
+      "driven once per layer per round). Medians over %zu alternating "
+      "pairs; p10-p90 is the per-pair speedup spread. fp32 rows are "
+      "bit-identical by construction (tests/test_fused.cpp); int8+act8 "
+      "additionally quantizes the activation panels to int8 codes above "
+      "width 1.\n",
+      kReps);
 
   report.write_file("fused.json");
   std::printf("wrote fused.json (%zu records)\n", report.size());

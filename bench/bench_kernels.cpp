@@ -12,6 +12,7 @@
 #include "sparse/bspc.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/fft.hpp"
+#include "speech/mfcc.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 #include "train/projection.hpp"
@@ -139,6 +140,10 @@ void BM_BlockCirculantMatvec(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockCirculantMatvec)->Arg(8)->Arg(64);
 
+// One forward plus one inverse transform per iteration: the round trip
+// keeps the data bounded. Forward transforms alone scale its norm by
+// sqrt(n) per call, overflowing to inf/NaN within a few hundred
+// iterations, after which the timing is of the NaN path, not the FFT.
 void BM_Fft(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   Rng rng(13);
@@ -146,10 +151,33 @@ void BM_Fft(benchmark::State& state) {
   for (auto& c : data) c = Complex(rng.normal(), rng.normal());
   for (auto _ : state) {
     fft_inplace(data, false);
+    fft_inplace(data, true);
     benchmark::DoNotOptimize(data.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_Fft)->Arg(256)->Arg(4096);
+
+// One 10 ms MFCC frame at the serving config (25 ms window, 512-point
+// FFT, 26 mel filters, 13 cepstra): the front-end work every served
+// frame pays, cache hit or not.
+void BM_MfccFrame(benchmark::State& state) {
+  const speech::MfccExtractor mfcc;
+  const speech::MfccConfig& config = mfcc.config();
+  Rng rng(14);
+  std::vector<float> wave(config.frame_length + 1);
+  for (float& s : wave) s = 0.1F * rng.normal();
+  const std::span<const float> samples{wave.data() + 1, config.frame_length};
+  speech::MfccExtractor::FrameScratch scratch(config);
+  std::vector<float> cepstra(config.num_cepstra);
+  for (auto _ : state) {
+    mfcc.extract_frame(samples, wave[0], cepstra, scratch);
+    benchmark::DoNotOptimize(cepstra.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_MfccFrame)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace rtmobile

@@ -39,17 +39,17 @@ MelFilterBank::MelFilterBank(const MfccConfig& config)
 
   filters_.resize(n);
   for (std::size_t f = 0; f < n; ++f) {
-    auto& weights = filters_[f];
-    weights.assign(num_bins_, 0.0F);
+    Filter& filter = filters_[f];
     const double left = edges_hz[f];
     const double center = edges_hz[f + 1];
     const double right = edges_hz[f + 2];
     for (std::size_t bin = 0; bin < num_bins_; ++bin) {
       const double hz = static_cast<double>(bin) * hz_per_bin;
       if (hz <= left || hz >= right) continue;
+      if (filter.weights.empty()) filter.first_bin = bin;
       const double w = hz <= center ? (hz - left) / (center - left)
                                     : (right - hz) / (right - center);
-      weights[bin] = static_cast<float>(w);
+      filter.weights.push_back(static_cast<float>(w));
     }
   }
 }
@@ -61,19 +61,20 @@ void MelFilterBank::apply(std::span<const float> power_spectrum,
   RT_REQUIRE(energies.size() == filters_.size(),
              "mel energies must hold num_filters values");
   for (std::size_t f = 0; f < filters_.size(); ++f) {
+    const Filter& filter = filters_[f];
+    const float* power = power_spectrum.data() + filter.first_bin;
     double acc = 0.0;
-    const auto& weights = filters_[f];
-    for (std::size_t bin = 0; bin < num_bins_; ++bin) {
-      acc += static_cast<double>(weights[bin]) *
-             static_cast<double>(power_spectrum[bin]);
+    for (std::size_t j = 0; j < filter.weights.size(); ++j) {
+      acc += static_cast<double>(filter.weights[j]) *
+             static_cast<double>(power[j]);
     }
     energies[f] = static_cast<float>(acc);
   }
 }
 
-std::span<const float> MelFilterBank::filter(std::size_t f) const {
+const MelFilterBank::Filter& MelFilterBank::filter(std::size_t f) const {
   RT_REQUIRE(f < filters_.size(), "filter index out of range");
-  return {filters_[f].data(), filters_[f].size()};
+  return filters_[f];
 }
 
 MfccExtractor::MfccExtractor(const MfccConfig& config)
@@ -85,6 +86,7 @@ MfccExtractor::MfccExtractor(const MfccConfig& config)
              "fft_size must be a power of two >= frame_length");
   RT_REQUIRE(config.num_cepstra <= config.num_mel_filters,
              "cannot keep more cepstra than mel filters");
+  fft_ = &FftPlan::of_size(config.fft_size);
 
   window_.resize(config.frame_length);
   for (std::size_t i = 0; i < window_.size(); ++i) {
@@ -122,24 +124,16 @@ void MfccExtractor::extract_frame(std::span<const float> samples,
                                   float prev_sample,
                                   std::span<float> cepstra,
                                   FrameScratch& scratch) const {
-  extract_frame_impl(samples, prev_sample, cepstra, scratch.frame,
-                     scratch.fft, scratch.power, scratch.mel);
-}
-
-void MfccExtractor::extract_frame_impl(std::span<const float> samples,
-                                       float prev_sample,
-                                       std::span<float> cepstra,
-                                       std::span<float> frame,
-                                       std::span<Complex> fft,
-                                       std::span<float> power,
-                                       std::span<float> mel) const {
   RT_REQUIRE(samples.size() == config_.frame_length,
              "extract_frame: window must be frame_length samples");
   RT_REQUIRE(cepstra.size() == config_.num_cepstra,
              "extract_frame: output must hold num_cepstra values");
+  std::span<float> frame = scratch.frame;
+  std::span<float> mel = scratch.mel;
   RT_REQUIRE(frame.size() == config_.frame_length &&
-                 fft.size() == config_.fft_size &&
-                 power.size() == config_.fft_size / 2 + 1 &&
+                 scratch.fft_re.size() == config_.fft_size &&
+                 scratch.fft_im.size() == config_.fft_size &&
+                 scratch.power.size() == config_.fft_size / 2 + 1 &&
                  mel.size() == config_.num_mel_filters,
              "extract_frame: scratch sized for a different config");
 
@@ -150,8 +144,8 @@ void MfccExtractor::extract_frame_impl(std::span<const float> samples,
                 static_cast<float>(config_.preemphasis) * previous) *
                window_[i];
   }
-  rtmobile::power_spectrum(frame, config_.fft_size, power, fft);
-  mel_bank_.apply(power, mel);
+  fft_->power_spectrum(frame, scratch.power, scratch.fft_re, scratch.fft_im);
+  mel_bank_.apply(scratch.power, mel);
   for (float& e : mel) {
     e = std::log(std::max(e, 1e-10F));  // floor avoids log(0)
   }

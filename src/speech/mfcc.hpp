@@ -35,25 +35,37 @@ struct MfccConfig {
 /// Mel scale -> frequency (Hz).
 [[nodiscard]] double mel_to_hz(double mel);
 
-/// Precomputed triangular mel filter bank over FFT bins.
+/// Precomputed triangular mel filter bank over FFT bins. Each filter
+/// keeps only the bins strictly inside its triangle: every bin lies under
+/// at most two triangles, so a dense bank would spend ~92% of its
+/// multiply-adds on exact zeros.
 class MelFilterBank {
  public:
+  /// One triangle: weights[j] applies to bin first_bin + j; every other
+  /// bin has weight zero.
+  struct Filter {
+    std::size_t first_bin = 0;
+    std::vector<float> weights;
+  };
+
   explicit MelFilterBank(const MfccConfig& config);
 
   [[nodiscard]] std::size_t num_filters() const { return filters_.size(); }
 
   /// Applies the bank to a power spectrum (fft_size/2+1 bins), writing
   /// num_filters() energies into `energies`. Allocation-free — the
-  /// per-frame path of the streaming front end.
+  /// per-frame path of the streaming front end. Bit-identical to a dense
+  /// bin-by-bin sum: the skipped terms are +0 added to a sum that is
+  /// never negative.
   void apply(std::span<const float> power_spectrum,
              std::span<float> energies) const;
 
-  /// Triangle weights of filter `f` (over all bins; zero outside support).
-  [[nodiscard]] std::span<const float> filter(std::size_t f) const;
+  /// Nonzero support of filter `f`.
+  [[nodiscard]] const Filter& filter(std::size_t f) const;
 
  private:
   std::size_t num_bins_;
-  std::vector<std::vector<float>> filters_;
+  std::vector<Filter> filters_;
 };
 
 /// Computes the MFCC (+Δ, +ΔΔ) matrix of a waveform: one row per frame.
@@ -73,18 +85,20 @@ class MfccExtractor {
   [[nodiscard]] Matrix extract(std::span<const float> waveform) const;
 
   /// Every buffer one frame's extraction touches: the windowed frame,
-  /// the FFT workspace, the power-spectrum bins, and the mel energies.
-  /// Per-frame callers (extract(), the streaming front end) construct
-  /// one of these once and reuse it, which makes the 10 ms frame path
-  /// allocation-free.
+  /// the split real/imaginary FFT workspace, the power-spectrum bins, and
+  /// the mel energies. Per-frame callers (extract(), the streaming front
+  /// end) construct one of these once and reuse it, which makes the 10 ms
+  /// frame path allocation-free.
   struct FrameScratch {
     explicit FrameScratch(const MfccConfig& config)
         : frame(config.frame_length),
-          fft(config.fft_size),
+          fft_re(config.fft_size),
+          fft_im(config.fft_size),
           power(config.fft_size / 2 + 1),
           mel(config.num_mel_filters) {}
     std::vector<float> frame;
-    std::vector<Complex> fft;
+    std::vector<double> fft_re;
+    std::vector<double> fft_im;
     std::vector<float> power;
     std::vector<float> mel;
   };
@@ -100,13 +114,8 @@ class MfccExtractor {
                      std::span<float> cepstra, FrameScratch& scratch) const;
 
  private:
-  /// The whole per-frame pipeline over caller-provided buffers.
-  void extract_frame_impl(std::span<const float> samples, float prev_sample,
-                          std::span<float> cepstra, std::span<float> frame,
-                          std::span<Complex> fft, std::span<float> power,
-                          std::span<float> mel) const;
-
   MfccConfig config_;
+  const FftPlan* fft_ = nullptr;   // shared per size: FftPlan::of_size
   MelFilterBank mel_bank_;
   std::vector<float> window_;      // Hamming coefficients
   std::vector<float> dct_;         // [num_cepstra x num_mel_filters]

@@ -15,6 +15,9 @@ constexpr float kDeltaDenominator = kDeltaRegressionDenominator;
 // t + 2*window.
 constexpr std::size_t kDeltaLookahead =
     2 * static_cast<std::size_t>(kDeltaWindow);
+// Dead base rows are erased only once at least this many (and at least
+// as many as the live rows) pile up, so the memmove amortizes.
+constexpr std::size_t kMinTrimRows = 64;
 
 }  // namespace
 
@@ -42,7 +45,7 @@ void StreamingMfcc::push(std::span<const float> samples) {
                    : (frame_start > 0 ? prev_sample_ : 0.0F);
     base_.resize(base_.size() + dim);
     extractor_.extract_frame({buffer_.data() + offset, cfg.frame_length},
-                             prev, {base_.data() + num_frames_ * dim, dim},
+                             prev, {base_.data() + base_.size() - dim, dim},
                              frame_scratch_);
     ++num_frames_;
   }
@@ -79,8 +82,9 @@ std::size_t StreamingMfcc::ready_frames() const {
 std::span<const float> StreamingMfcc::base_row(std::size_t t) const {
   const std::size_t last = num_frames_ - 1;
   const std::size_t clamped = std::min(t, last);
+  RT_ASSERT(clamped >= base_first_, "base row already trimmed");
   const std::size_t dim = config().num_cepstra;
-  return {base_.data() + clamped * dim, dim};
+  return {base_.data() + (clamped - base_first_) * dim, dim};
 }
 
 float StreamingMfcc::delta_at(std::size_t t, std::size_t d) const {
@@ -117,6 +121,17 @@ void StreamingMfcc::write_row(std::size_t t, std::span<float> out) const {
   }
 }
 
+void StreamingMfcc::trim() {
+  const std::size_t reach = config().add_deltas ? kDeltaLookahead : 0;
+  const std::size_t first_live = emitted_ > reach ? emitted_ - reach : 0;
+  const std::size_t dead = first_live - base_first_;
+  if (dead < kMinTrimRows || dead < num_frames_ - first_live) return;
+  const std::size_t dim = config().num_cepstra;
+  base_.erase(base_.begin(),
+              base_.begin() + static_cast<std::ptrdiff_t>(dead * dim));
+  base_first_ = first_live;
+}
+
 Matrix StreamingMfcc::pop_ready(std::size_t max_frames) {
   const std::size_t count = std::min(ready_frames(), max_frames);
   Matrix out(count, feature_dim());
@@ -124,6 +139,7 @@ Matrix StreamingMfcc::pop_ready(std::size_t max_frames) {
     write_row(emitted_ + i, out.row(i));
   }
   emitted_ += count;
+  trim();
   return out;
 }
 
@@ -133,6 +149,7 @@ bool StreamingMfcc::pop_row(std::span<float> out) {
              "pop_row: output must be feature_dim-sized");
   write_row(emitted_, out);
   ++emitted_;
+  trim();
   return true;
 }
 

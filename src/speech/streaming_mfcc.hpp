@@ -52,6 +52,12 @@ class StreamingMfcc {
   /// Frames already returned by pop_ready().
   [[nodiscard]] std::size_t frames_emitted() const { return emitted_; }
 
+  /// Base cepstral rows still held: the unemitted frames plus the few
+  /// emitted ones their Δ/ΔΔ windows reach, not the whole stream.
+  [[nodiscard]] std::size_t retained_frames() const {
+    return num_frames_ - base_first_;
+  }
+
   /// Frames whose features are final and not yet popped. Without deltas
   /// every computed frame is final immediately; with deltas a frame
   /// finalizes once 4 successor frames exist (or the stream finished).
@@ -74,6 +80,8 @@ class StreamingMfcc {
   /// add_delta_features arithmetic exactly.
   [[nodiscard]] float delta_at(std::size_t t, std::size_t d) const;
   [[nodiscard]] float delta2_at(std::size_t t, std::size_t d) const;
+  /// Drops base rows no unemitted frame can reach any more.
+  void trim();
 
   MfccExtractor extractor_;
   // Raw samples not yet fully consumed. buffer_[0] is absolute sample
@@ -85,10 +93,13 @@ class StreamingMfcc {
   // Reused per-frame work buffers (window, FFT, power, mel): the 10 ms
   // frame path allocates nothing.
   MfccExtractor::FrameScratch frame_scratch_;
-  // Base cepstra, row-major [num_frames_ x num_cepstra]. Kept for the
-  // whole stream: the left-clamped Δ windows of early frames reference
-  // row 0, and at 13 floats per 10 ms the cost is ~5 KB per audio minute.
+  // Base cepstra of frames [base_first_, num_frames_), row-major,
+  // num_cepstra wide. The Δ/ΔΔ features of frame t read base rows t-4 ..
+  // t+4 (clamped to the stream), so rows before emitted_ - 4 are dead;
+  // trim() drops them, keeping the buffer bounded over an hours-long
+  // stream instead of growing 13 floats (~312 KB per audio minute).
   std::vector<float> base_;
+  std::size_t base_first_ = 0;
   std::size_t num_frames_ = 0;
   std::size_t emitted_ = 0;
   bool finished_ = false;

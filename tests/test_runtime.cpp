@@ -136,6 +136,42 @@ TEST(StreamingMfcc, MidStreamFramesAreFinal) {
   EXPECT_EQ(row, batch.rows());
 }
 
+TEST(StreamingMfcc, MultiMinuteStreamKeepsBoundedRowsAndMatchesBatch) {
+  // Three minutes of 100 ms chunks, popped as they become ready (the
+  // serving pattern). Only the rows the Δ/ΔΔ windows can still reach may
+  // stay resident; the concatenated output must equal batch extraction.
+  const std::vector<float> wave = random_waveform(3 * 60 * 16000, 13);
+  for (const bool deltas : {true, false}) {
+    const MfccConfig config = streaming_mfcc_config(deltas);
+    const Matrix batch = MfccExtractor(config).extract(wave);
+    Matrix streamed(batch.rows(), batch.cols());
+    StreamingMfcc streaming(config);
+    std::size_t row = 0;
+    std::size_t most_retained = 0;
+    const auto pop_all = [&] {
+      while (row < streamed.rows() && streaming.pop_row(streamed.row(row))) {
+        ++row;
+      }
+      most_retained = std::max(most_retained, streaming.retained_frames());
+    };
+    for (std::size_t pos = 0; pos < wave.size(); pos += 1600) {
+      streaming.push(std::span<const float>(wave).subspan(
+          pos, std::min<std::size_t>(1600, wave.size() - pos)));
+      pop_all();
+    }
+    streaming.finish();
+    pop_all();
+
+    EXPECT_EQ(row, batch.rows()) << "deltas=" << deltas;
+    EXPECT_EQ(streaming.ready_frames(), 0U);
+    EXPECT_EQ(streamed, batch) << "deltas=" << deltas;  // bitwise
+    // 18k frames went through; a 100 ms chunk adds 10 and trimming waits
+    // for 64 dead rows, so well under 128 may ever be held at once.
+    EXPECT_EQ(streaming.total_frames(), batch.rows());
+    EXPECT_LT(most_retained, 128U) << "deltas=" << deltas;
+  }
+}
+
 TEST(StreamingMfcc, WithoutDeltasEmitsImmediately) {
   const MfccConfig config = streaming_mfcc_config(/*deltas=*/false);
   StreamingMfcc streaming(config);

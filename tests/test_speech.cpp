@@ -76,8 +76,12 @@ TEST(Mfcc, FilterBankPartitionsSpectrum) {
   // positive across the passband interior.
   std::vector<float> total(config.fft_size / 2 + 1, 0.0F);
   for (std::size_t f = 0; f < bank.num_filters(); ++f) {
-    const auto weights = bank.filter(f);
-    for (std::size_t b = 0; b < total.size(); ++b) total[b] += weights[b];
+    const MelFilterBank::Filter& filter = bank.filter(f);
+    ASSERT_LE(filter.first_bin + filter.weights.size(), total.size());
+    for (std::size_t j = 0; j < filter.weights.size(); ++j) {
+      EXPECT_GT(filter.weights[j], 0.0F) << "zero inside filter " << f;
+      total[filter.first_bin + j] += filter.weights[j];
+    }
   }
   const double hz_per_bin = config.sample_rate_hz /
                             static_cast<double>(config.fft_size);
